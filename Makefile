@@ -40,9 +40,10 @@ bench:
 # CI perf gate: rerun the microbenchmarks against the committed snapshot and
 # fail on a >20% ns/op regression of the gated kernels, any allocation where
 # the snapshot was allocation-free (the hot-path evaluate/sample/attribute
-# loops), or a >20% growth in the guided mapper's evals-to-convergence.
-# Does not rewrite the committed snapshot or history.
-BENCH_GATE = BenchmarkEvaluateCompiled,BenchmarkEvaluateConv,BenchmarkSampleEvaluatePipeline,BenchmarkAttribute,BenchmarkGuidedConverge:convergence_evals
+# loops and the fused producer half), or a >20% growth in the guided
+# mapper's evals-to-convergence. Does not rewrite the committed snapshot or
+# history.
+BENCH_GATE = BenchmarkEvaluateCompiled,BenchmarkEvaluateConv,BenchmarkSampleEvaluatePipeline,BenchmarkAttribute,BenchmarkFusedEvaluateProducer,BenchmarkGuidedConverge:convergence_evals
 bench-gate:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 2s . \
 		| $(GO) run ./tools/benchjson -o '' -baseline BENCH_eval.json -gate '$(BENCH_GATE)'

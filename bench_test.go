@@ -222,6 +222,17 @@ func BenchmarkEvaluateCompiled(b *testing.B) {
 // result Costs per call.
 func BenchmarkFusedEvaluate(b *testing.B) {
 	b.ReportAllocs()
+	fe, pm, cm := fusedBenchPair(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fe.Evaluate(pm, cm)
+	}
+}
+
+// fusedBenchPair samples a fused-valid (producer, consumer) pair on the
+// ResNet-50 bottleneck edge res2a_branch2a -> res2x_branch2b.
+func fusedBenchPair(b *testing.B) (*nest.FusedEvaluator, *mapping.Mapping, *mapping.Mapping) {
+	b.Helper()
 	net := workloads.ResNet50Network()
 	bind, err := net.Bind(0) // res2a_branch2a -> res2x_branch2b
 	if err != nil {
@@ -234,8 +245,7 @@ func BenchmarkFusedEvaluate(b *testing.B) {
 	}
 	csp := mapspace.New(bind.Cons.Work, a, mapspace.RubyS, mapspace.Constraints{})
 	rng := rand.New(rand.NewSource(2))
-	var pm, cm *mapping.Mapping
-	for i := 0; i < 50000 && pm == nil; i++ {
+	for i := 0; i < 50000; i++ {
 		c := csp.Sample(rng)
 		if !fe.Consumer().Evaluate(c).Valid {
 			continue
@@ -248,15 +258,26 @@ func BenchmarkFusedEvaluate(b *testing.B) {
 			FuseTile: ft, FuseLevel: 1})
 		p := psp.Sample(rng)
 		if fe.Evaluate(p, c).Valid {
-			pm, cm = p, c
+			return fe, p, c
 		}
 	}
-	if pm == nil {
-		b.Fatal("no fused-valid pair sampled")
-	}
+	b.Fatal("no fused-valid pair sampled")
+	return nil, nil, nil
+}
+
+// BenchmarkFusedEvaluateProducer measures the producer half a fused segment
+// search runs per proposal, on the same pair as BenchmarkFusedEvaluate: the
+// consumer is bound once (its validity, advances, granule and elided cost),
+// then each iteration prices the producer with one compiled per-layer
+// evaluation plus the fusion checks and the producer's DRAM-elision tail.
+// The bench gate holds it to zero allocations.
+func BenchmarkFusedEvaluateProducer(b *testing.B) {
+	b.ReportAllocs()
+	fe, pm, cm := fusedBenchPair(b)
+	fe.BindConsumer(cm)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fe.Evaluate(pm, cm)
+		fe.EvaluateProducerInto(pm)
 	}
 }
 

@@ -58,7 +58,7 @@ func main() {
 		cpDir    = flag.String("checkpoint", "", "directory for per-layer suite checkpoints; interrupted runs resume here, skipping completed layers")
 		resume   = flag.Bool("resume", false, "alias for clarity: resuming is automatic whenever -checkpoint is set")
 		timeout  = flag.Duration("timeout", 0, "wall-time budget for the whole run; on expiry the run aborts (0 = none)")
-		parallel = flag.Int("parallel", 0, "layers searched concurrently (0 = auto, 1 = serial)")
+		parallel = flag.Int("parallel", 0, "layers and fused segments searched concurrently (0 = auto, 1 = serial)")
 		cacheN   = flag.Int("cache", 0, "per-layer evaluation memo-cache entries (0 = disabled)")
 		fuse     = flag.Bool("fuse", false, "fusion-aware network search: keep fused producer->consumer segments that strictly lower network EDP")
 		list     = flag.Bool("list", false, "list suites and exit")

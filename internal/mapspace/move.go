@@ -31,7 +31,9 @@ type Move struct {
 	perm    []string // proposed loop order, DeltaPerm
 	permIDs []int16  // perm as workload dim ids, kept in lockstep
 
-	// State captured by Apply for exact reversal.
+	// State captured by Apply for exact reversal. The dense-form fields
+	// (oldPermIDs, oldMask, oldMaskLen) are captured only when Apply found a
+	// lowering to patch, which patched records.
 	oldChain     []int
 	oldPerm      []string
 	oldPermIDs   []int16
@@ -40,6 +42,7 @@ type Move struct {
 	oldMaskLen   int
 	createdSlice bool // Apply allocated m.Keep
 	createdMap   bool // Apply allocated m.Keep[Level]
+	patched      bool // Apply patched a dense lowering in place
 	applied      bool
 }
 
@@ -61,6 +64,7 @@ func (mv *Move) Apply(m *mapping.Mapping) {
 	mv.applied = true
 	s := mv.sp
 	dn := m.UpdatableDense(s.Work, s.Arch, s.slots)
+	mv.patched = dn != nil
 	switch mv.delta.Kind {
 	case mapping.DeltaChain:
 		fs := m.Factors[mv.dim]
@@ -134,7 +138,10 @@ func (mv *Move) Apply(m *mapping.Mapping) {
 
 // Undo restores m to its exact pre-Apply state, including the
 // representation-level details Key and Encode observe (nil-ness of bypass
-// overrides included) and the dense lowering.
+// overrides included) and the dense lowering. A lowering Apply patched is
+// patched back; one computed after Apply (the mapping was lowered in
+// between) holds none of the saved rows, so Undo drops it and the next
+// Dense call relowers the restored mapping.
 //
 //ruby:hotpath
 func (mv *Move) Undo(m *mapping.Mapping) {
@@ -143,7 +150,10 @@ func (mv *Move) Undo(m *mapping.Mapping) {
 	}
 	mv.applied = false
 	s := mv.sp
-	dn := m.UpdatableDense(s.Work, s.Arch, s.slots)
+	var dn *mapping.Dense
+	if mv.patched {
+		dn = m.UpdatableDense(s.Work, s.Arch, s.slots)
+	}
 	switch mv.delta.Kind {
 	case mapping.DeltaChain:
 		fs := m.Factors[mv.dim]

@@ -176,3 +176,40 @@ func TestMoveUndoWithoutApplyPanics(t *testing.T) {
 	}()
 	mv.Undo(m)
 }
+
+// TestMoveUndoAfterLateLowering covers a mapping first lowered between Apply
+// and Undo — a freshly cloned candidate that is moved and then evaluated.
+// Apply saved no dense rows then, so Undo must not patch the late lowering
+// with them: afterwards the mapping must lower exactly like a fresh copy.
+func TestMoveUndoAfterLateLowering(t *testing.T) {
+	sp, w, _ := moveFixture()
+	rng := rand.New(rand.NewSource(23))
+	mu := sp.NewMutator()
+	check := func(name string, propose func() *Move) {
+		t.Helper()
+		m := sampleLowered(t, sp, rng).Clone() // Clone drops the lowering
+		key0 := m.Key(w, sp.slots)
+		mv := propose()
+		mv.Apply(m)
+		if _, err := m.Dense(sp.Work, sp.Arch, sp.slots); err != nil {
+			t.Fatalf("%s: lowering the moved mapping: %v", name, err)
+		}
+		mv.Undo(m)
+		if got := m.Key(w, sp.slots); got != key0 {
+			t.Fatalf("%s: key after undo = %q, want %q", name, got, key0)
+		}
+		if _, err := m.Dense(sp.Work, sp.Arch, sp.slots); err != nil {
+			t.Fatalf("%s: relowering after undo: %v", name, err)
+		}
+		requireMoveDenseMatchesFresh(t, sp, m)
+	}
+	for li := range sp.Arch.Levels {
+		check("perm", func() *Move { return mu.ProposePerm(rng, li) })
+	}
+	for di := range sp.dimNames {
+		check("chain", func() *Move { return mu.ProposeChainID(rng, di) })
+	}
+	for k := range mu.bypassLvls {
+		check("keep", func() *Move { return mu.ProposeKeepAt(k) })
+	}
+}

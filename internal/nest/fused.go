@@ -38,8 +38,17 @@ type FusedCost struct {
 // FusedEvaluator evaluates fused mappings of one network edge: the
 // producer's output tensor feeds the consumer's input tensor, both tiled so
 // the intermediate lives at one shared on-chip level. It owns its scratch
-// memory: use one FusedEvaluator per goroutine (the per-layer Evaluators it
-// is built from stay shared).
+// memory and its bound consumer: use one FusedEvaluator per goroutine (the
+// per-layer Evaluators it is built from stay shared).
+//
+// Evaluation splits into two halves. BindConsumer computes everything that
+// depends on the consumer mapping alone — its per-layer validity, where its
+// input lives, the single-fetch check, the input-tile advances the producer
+// must align to, the intermediate granule and the consumer phase's cost
+// with the DRAM reads elided — once per consumer. EvaluateProducerInto then
+// prices one producer mapping against the bound consumer with a single
+// per-layer kernel run, so a producer search pays for the consumer once.
+// Evaluate(pm, cm) is exactly the two halves back to back.
 type FusedEvaluator struct {
 	Bind  workload.EdgeBinding
 	Arch  *arch.Arch
@@ -49,7 +58,45 @@ type FusedEvaluator struct {
 	pp, cp   *Plan
 	ps, cs   *Scratch
 	fuseSlot int
+
+	cons boundConsumer
+
+	// reasons interns invalid verdicts (see invalid): producer proposals
+	// fail fusion often enough that formatting each one would dominate
+	// the producer half's allocations.
+	reasons map[reasonKey]string
 }
+
+// boundConsumer is the consumer half of a fused evaluation, computed by
+// BindConsumer and read by every EvaluateProducerInto until the next bind.
+type boundConsumer struct {
+	bound bool
+	// fail is the first consumer-side check the consumer failed
+	// (consFusable when none), and verdict its interned reason.
+	fail    consumerCheck
+	verdict string
+
+	adv    []int   // per Bind.Pairs entry, the consumer advance along the pair
+	vol    int64   // intermediate granule: the consumer's input tile at Level
+	cost   Cost    // consumer phase with the intermediate's DRAM reads elided
+	elided float64 // DRAM words of the intermediate the consumer no longer reads
+	buf    []float64
+}
+
+// consumerCheck names the consumer-side fusion checks. Evaluate reports a
+// pair's first failure in one fixed order that interleaves producer and
+// consumer checks (lowering, kernel, home level, then alignment and link
+// shape); the producer half reports a bound consumer's failure at its place
+// in that order, so the verdict does not depend on which half is cached.
+type consumerCheck uint8
+
+const (
+	consLower   consumerCheck = iota // the consumer mapping does not lower
+	consKernel                       // the per-layer kernel rejects it
+	consHome                         // its input lives first at another level
+	consRefetch                      // it re-fetches its input from DRAM
+	consFusable                      // every consumer-side precondition holds
+)
 
 // NewFusedEvaluator builds a fused evaluator for one edge binding at the
 // given shared level (values < 1 default to level 1).
@@ -74,6 +121,11 @@ func NewFusedEvaluator(b workload.EdgeBinding, a *arch.Arch, level int) (*FusedE
 		pp: pe.plan, cp: ce.plan,
 		ps: pe.plan.NewScratch(), cs: ce.plan.NewScratch(),
 		fuseSlot: pe.firstSlot[level],
+		cons: boundConsumer{
+			adv: make([]int, len(b.Pairs)),
+			buf: make([]float64, 3*len(a.Levels)),
+		},
+		reasons: make(map[reasonKey]string),
 	}, nil
 }
 
@@ -162,76 +214,149 @@ func linkStats(p *Plan, dm *mapping.Dense, s *Scratch, ti, parent, child int) (f
 // cost (detached). Segment searches use it to shortlist consumer tilings
 // before spending producer-search budget; Evaluate re-checks everything.
 func (f *FusedEvaluator) ConsumerFusable(cm *mapping.Mapping) (Cost, bool) {
-	cdm, err := cm.Dense(f.cp.work, f.cp.arch, f.cp.slots)
-	if err != nil {
-		return invalidDense(err), false
-	}
-	cc := f.cp.EvaluateInto(cdm, f.cs)
-	if !cc.Valid {
-		return cc.Clone(), false
-	}
-	cc = cc.Clone()
-	inTi := f.Bind.InIndex
-	if firstKeptOnChip(f.cp, f.cs, inTi) != f.Level {
-		return cc, false
-	}
-	cFills, cReads, _, cDistinct := linkStats(f.cp, cdm, f.cs, inTi, 0, f.Level)
-	return cc, cFills*cReads <= cDistinct
+	cc, ok := f.ConsumerFusableInto(cm)
+	return cc.Clone(), ok
 }
 
-// Evaluate computes the fused cost of (producer mapping, consumer mapping).
-// Both mappings are first evaluated by the unchanged per-layer kernel; when
-// the pair admits fusion, the intermediate's DRAM link is subtracted from
-// both sides and latency, bandwidth stretch and leakage are recomputed.
-// The returned per-phase Costs are detached from the evaluator's scratch.
-func (f *FusedEvaluator) Evaluate(pm, cm *mapping.Mapping) FusedCost {
-	pdm, err := pm.Dense(f.pp.work, f.pp.arch, f.pp.slots)
-	if err != nil {
-		return fusedInvalid("producer %s: %s", f.Bind.Prod.Name, invalidDense(err).Reason)
-	}
+// ConsumerFusableInto is ConsumerFusable without the detaching copy: the
+// returned Cost's per-level slices alias the evaluator's scratch and are
+// overwritten by its next evaluation. Retain with Cost.Clone.
+//
+//ruby:hotpath
+func (f *FusedEvaluator) ConsumerFusableInto(cm *mapping.Mapping) (Cost, bool) {
+	cc, _, check := f.consumerInto(cm)
+	return cc, check == consFusable
+}
+
+// consumerInto runs the consumer's per-layer kernel and its side of the
+// fusion preconditions, returning the per-layer cost (aliasing f.cs), the
+// consumer's lowering, and the first check it failed (consFusable when
+// none).
+//
+//ruby:hotpath
+func (f *FusedEvaluator) consumerInto(cm *mapping.Mapping) (Cost, *mapping.Dense, consumerCheck) {
 	cdm, err := cm.Dense(f.cp.work, f.cp.arch, f.cp.slots)
 	if err != nil {
-		return fusedInvalid("consumer %s: %s", f.Bind.Cons.Name, invalidDense(err).Reason)
-	}
-
-	pc := f.pp.EvaluateInto(pdm, f.ps)
-	if !pc.Valid {
-		return fusedInvalid("producer %s: %s", f.Bind.Prod.Name, pc.Reason)
+		return invalidDense(err), nil, consLower
 	}
 	cc := f.cp.EvaluateInto(cdm, f.cs)
 	if !cc.Valid {
-		return fusedInvalid("consumer %s: %s", f.Bind.Cons.Name, cc.Reason)
+		return cc, cdm, consKernel
+	}
+	inTi := f.Bind.InIndex
+	if firstKeptOnChip(f.cp, f.cs, inTi) != f.Level {
+		return cc, cdm, consHome
+	}
+	cFills, cReads, _, cDistinct := linkStats(f.cp, cdm, f.cs, inTi, 0, f.Level)
+	if cFills*cReads > cDistinct {
+		return cc, cdm, consRefetch
+	}
+	return cc, cdm, consFusable
+}
+
+// BindConsumer computes the consumer half of fused evaluation for cm and
+// keeps it for the EvaluateProducerInto calls that follow, until the next
+// bind. It reports whether cm passes the consumer-side preconditions (as
+// ConsumerFusable does); a consumer that fails is still bound, and every
+// producer evaluated against it reports the failure at the point Evaluate
+// would. The half is a snapshot: mutating cm afterwards does not change it.
+func (f *FusedEvaluator) BindConsumer(cm *mapping.Mapping) bool {
+	c := &f.cons
+	c.bound = true
+	cc, cdm, check := f.consumerInto(cm)
+	c.fail = check
+	F, inTi := f.Level, f.Bind.InIndex
+	switch check {
+	case consLower, consKernel:
+		c.verdict = f.reason(reasonKey{kind: reasonConsumer, s: cc.Reason})
+		return false
+	case consHome:
+		c.verdict = f.reason(reasonKey{kind: reasonConsumerHome, a: int64(firstKeptOnChip(f.cp, f.cs, inTi))})
+		return false
+	}
+
+	// The advance along each corresponded dimension — the producer
+	// elements one consumer input tile consumes — and the intermediate
+	// granule, both read by the producer half's alignment and residency
+	// checks.
+	csi := f.ce.firstSlot[F]
+	for k, pr := range f.Bind.Pairs {
+		adv := pr.Stride * cdm.CumAt(int(pr.ConsID), csi)
+		if bp := f.Bind.Prod.Work.Bound(pr.ProdDim); adv > bp {
+			adv = bp
+		}
+		c.adv[k] = adv
+	}
+	c.vol = f.cs.vols[F*f.cp.nTensors+inTi]
+	if check == consRefetch {
+		c.verdict = f.reason(reasonKey{kind: reasonRefetch})
+		return false
+	}
+
+	// Elide the consumer's DRAM reads of the intermediate and redo its
+	// latency/energy tail, so bandwidth stretch and leakage follow the
+	// reduced traffic.
+	clc := f.cp.linkTraffic(cdm, f.cs, inTi, float64(c.vol), 0, F)
+	f.cs.reads[0] -= clc.rp
+	f.cs.writes[F] -= clc.wc
+	cCycles := 1.0
+	for d := 0; d < f.cp.nDims; d++ {
+		cCycles *= f.cp.cyclesAlong(cdm, d, f.cs)
+	}
+	c.cost = f.cp.finish(f.cs, cCycles, cc.NoCEnergyPJ-clc.noc).cloneInto(c.buf)
+	c.elided = clc.rp
+	return true
+}
+
+// EvaluateProducerInto is the producer half: the fused cost of producer
+// mapping pm against the consumer bound by BindConsumer. It runs the
+// producer's per-layer kernel once, then the remaining fusion checks and
+// the producer's DRAM-elision tail. The returned Producer cost aliases the
+// evaluator's scratch and Consumer the bound consumer; both are overwritten
+// by the next evaluation or bind (retain with Cost.Clone). Invalid verdicts
+// are interned, so steady-state producer search allocates nothing.
+//
+//ruby:hotpath
+func (f *FusedEvaluator) EvaluateProducerInto(pm *mapping.Mapping) FusedCost {
+	c := &f.cons
+	if !c.bound {
+		panic("nest: EvaluateProducerInto without a bound consumer")
+	}
+	pdm, err := pm.Dense(f.pp.work, f.pp.arch, f.pp.slots)
+	if err != nil {
+		return f.invalid(reasonKey{kind: reasonProducer, s: invalidDense(err).Reason})
+	}
+	if c.fail == consLower {
+		return FusedCost{Reason: c.verdict}
+	}
+	pc := f.pp.EvaluateInto(pdm, f.ps)
+	if !pc.Valid {
+		return f.invalid(reasonKey{kind: reasonProducer, s: pc.Reason})
+	}
+	if c.fail == consKernel {
+		return FusedCost{Reason: c.verdict}
 	}
 
 	F := f.Level
-	outTi, inTi := f.Bind.OutIndex, f.Bind.InIndex
+	outTi := f.Bind.OutIndex
 
 	// The intermediate's home: the producer's output and the consumer's
 	// input must both live first at the shared level, so the elided DRAM
 	// link is exactly (DRAM -> F) on both sides.
 	if li := firstKeptOnChip(f.pp, f.ps, outTi); li != F {
-		return fusedInvalid("producer %s: output lives at level %d, not the fused level %d",
-			f.Bind.Prod.Name, li, F)
+		return f.invalid(reasonKey{kind: reasonProducerHome, a: int64(li)})
 	}
-	if li := firstKeptOnChip(f.cp, f.cs, inTi); li != F {
-		return fusedInvalid("consumer %s: input lives at level %d, not the fused level %d",
-			f.Bind.Cons.Name, li, F)
+	if c.fail == consHome {
+		return FusedCost{Reason: c.verdict}
 	}
 
 	// Tile alignment: along every corresponded dimension the producer's
 	// extent at the fused level must divide the consumer's advance, so
 	// produced tiles compose exactly into consumed tiles.
-	si := f.fuseSlot
-	csi := f.ce.firstSlot[F]
-	for _, pr := range f.Bind.Pairs {
-		pe := pdm.CumAt(f.pp.dimIndex(pr.ProdDim), si)
-		adv := pr.Stride * cdm.CumAt(f.cp.dimIndex(pr.ConsDim), csi)
-		if bp := f.Bind.Prod.Work.Bound(pr.ProdDim); adv > bp {
-			adv = bp
-		}
-		if adv%pe != 0 {
-			return fusedInvalid("dim %s->%s: producer tile %d does not divide consumer advance %d",
-				pr.ProdDim, pr.ConsDim, pe, adv)
+	for k, pr := range f.Bind.Pairs {
+		pe := pdm.CumAt(int(pr.ProdID), f.fuseSlot)
+		if c.adv[k]%pe != 0 {
+			return f.invalid(reasonKey{kind: reasonAlign, a: int64(k), b: int64(pe), c: int64(c.adv[k])})
 		}
 	}
 
@@ -242,24 +367,21 @@ func (f *FusedEvaluator) Evaluate(pm, cm *mapping.Mapping) FusedCost {
 	// would need the whole tensor resident, not one granule).
 	pFills, _, pDeliv, pDistinct := linkStats(f.pp, pdm, f.ps, outTi, 0, F)
 	if rmw := pFills*pDeliv - pDistinct; rmw > 0 {
-		return fusedInvalid("producer %s: output accumulates partial sums through DRAM", f.Bind.Prod.Name)
+		return f.invalid(reasonKey{kind: reasonAccumulate})
 	}
-	cFills, cReads, _, cDistinct := linkStats(f.cp, cdm, f.cs, inTi, 0, F)
-	if cFills*cReads > cDistinct {
-		return fusedInvalid("consumer %s: input is re-fetched from DRAM", f.Bind.Cons.Name)
+	if c.fail == consRefetch {
+		return FusedCost{Reason: c.verdict}
 	}
 
 	// Joint residency at the fused level: the intermediate granule is the
 	// consumer's input tile (the producer accumulates it there before the
 	// consumer phase drains it), alongside the producer's other tensors.
-	consVol := f.cs.vols[F*f.cp.nTensors+inTi]
 	if f.pp.dedicated[F] {
-		if consVol > f.pp.roleCap[F][workload.Output] {
-			return fusedInvalid("level %d: intermediate granule %d words exceeds dedicated output capacity %d",
-				F, consVol, f.pp.roleCap[F][workload.Output])
+		if c.vol > f.pp.roleCap[F][workload.Output] {
+			return f.invalid(reasonKey{kind: reasonDedicated, a: c.vol})
 		}
 	} else if cap := f.pp.sharedCap[F]; cap > 0 {
-		resident := consVol
+		resident := c.vol
 		for ti := range f.pp.tensors {
 			if ti == outTi {
 				continue
@@ -269,15 +391,13 @@ func (f *FusedEvaluator) Evaluate(pm, cm *mapping.Mapping) FusedCost {
 			}
 		}
 		if resident > cap {
-			return fusedInvalid("level %d: intermediate granule plus producer tiles (%d words) exceed shared capacity %d",
-				F, resident, cap)
+			return f.invalid(reasonKey{kind: reasonShared, a: resident})
 		}
 	}
 
-	// Elide the DRAM round-trip: subtract each side's (DRAM -> F) link for
-	// the intermediate from the surviving scratch accumulators, then redo
-	// the latency/energy tail so bandwidth stretch and leakage follow the
-	// reduced traffic.
+	// Elide the DRAM round-trip on the producer side: subtract its
+	// (DRAM -> F) link for the intermediate from the surviving scratch
+	// accumulators, then redo the latency/energy tail.
 	plc := f.pp.linkTraffic(pdm, f.ps, outTi, float64(f.ps.vols[F*f.pp.nTensors+outTi]), 0, F)
 	f.ps.writes[0] -= plc.wp
 	f.ps.reads[0] -= plc.rp
@@ -287,27 +407,105 @@ func (f *FusedEvaluator) Evaluate(pm, cm *mapping.Mapping) FusedCost {
 	for d := 0; d < f.pp.nDims; d++ {
 		pCycles *= f.pp.cyclesAlong(pdm, d, f.ps)
 	}
-	fp := f.pp.finish(f.ps, pCycles, pc.NoCEnergyPJ-plc.noc).Clone()
+	fp := f.pp.finish(f.ps, pCycles, pc.NoCEnergyPJ-plc.noc)
 
-	clc := f.cp.linkTraffic(cdm, f.cs, inTi, float64(consVol), 0, F)
-	f.cs.reads[0] -= clc.rp
-	f.cs.writes[F] -= clc.wc
-	cCycles := 1.0
-	for d := 0; d < f.cp.nDims; d++ {
-		cCycles *= f.cp.cyclesAlong(cdm, d, f.cs)
-	}
-	fc := f.cp.finish(f.cs, cCycles, cc.NoCEnergyPJ-clc.noc).Clone()
-
-	cycles := fp.Cycles + fc.Cycles
-	energy := fp.EnergyPJ + fc.EnergyPJ
+	cycles := fp.Cycles + c.cost.Cycles
+	energy := fp.EnergyPJ + c.cost.EnergyPJ
 	return FusedCost{
 		Valid:       true,
 		Producer:    fp,
-		Consumer:    fc,
+		Consumer:    c.cost,
 		Cycles:      cycles,
 		EnergyPJ:    energy,
 		EDP:         energy * cycles,
-		ElidedWords: plc.wp + clc.rp,
+		ElidedWords: plc.wp + c.elided,
+	}
+}
+
+// Evaluate computes the fused cost of (producer mapping, consumer mapping):
+// BindConsumer(cm) then EvaluateProducerInto(pm), with the per-phase Costs
+// detached from the evaluator. Both mappings are evaluated by the unchanged
+// per-layer kernel; when the pair admits fusion, the intermediate's DRAM
+// link is subtracted from both sides and latency, bandwidth stretch and
+// leakage are recomputed.
+func (f *FusedEvaluator) Evaluate(pm, cm *mapping.Mapping) FusedCost {
+	f.BindConsumer(cm)
+	fc := f.EvaluateProducerInto(pm)
+	if fc.Valid {
+		fc.Producer, fc.Consumer = fc.Producer.Clone(), fc.Consumer.Clone()
+	}
+	return fc
+}
+
+// reasonKind names one fused invalid verdict; reasonKey adds the values
+// its message interpolates.
+type reasonKind uint8
+
+const (
+	reasonProducer     reasonKind = iota // s: the producer's per-layer reason
+	reasonConsumer                       // s: the consumer's per-layer reason
+	reasonProducerHome                   // a: the output's first on-chip level
+	reasonConsumerHome                   // a: the input's first on-chip level
+	reasonAlign                          // a: pair index, b: producer tile, c: consumer advance
+	reasonAccumulate
+	reasonRefetch
+	reasonDedicated // a: the intermediate granule
+	reasonShared    // a: the resident words
+)
+
+type reasonKey struct {
+	kind    reasonKind
+	s       string
+	a, b, c int64
+}
+
+// reason returns k's message, formatting it only the first time it occurs.
+//
+//ruby:hotpath
+func (f *FusedEvaluator) reason(k reasonKey) string {
+	r, ok := f.reasons[k]
+	if !ok {
+		r = f.formatReason(k)
+		f.reasons[k] = r
+	}
+	return r
+}
+
+// invalid builds the interned invalid fused verdict for k.
+//
+//ruby:hotpath
+func (f *FusedEvaluator) invalid(k reasonKey) FusedCost {
+	return FusedCost{Reason: f.reason(k)}
+}
+
+// formatReason renders an invalid verdict's message.
+//
+//ruby:coldpath
+func (f *FusedEvaluator) formatReason(k reasonKey) string {
+	prod, cons, F := f.Bind.Prod.Name, f.Bind.Cons.Name, f.Level
+	switch k.kind {
+	case reasonProducer:
+		return fmt.Sprintf("producer %s: %s", prod, k.s)
+	case reasonConsumer:
+		return fmt.Sprintf("consumer %s: %s", cons, k.s)
+	case reasonProducerHome:
+		return fmt.Sprintf("producer %s: output lives at level %d, not the fused level %d", prod, k.a, F)
+	case reasonConsumerHome:
+		return fmt.Sprintf("consumer %s: input lives at level %d, not the fused level %d", cons, k.a, F)
+	case reasonAlign:
+		pr := f.Bind.Pairs[k.a]
+		return fmt.Sprintf("dim %s->%s: producer tile %d does not divide consumer advance %d",
+			pr.ProdDim, pr.ConsDim, k.b, k.c)
+	case reasonAccumulate:
+		return fmt.Sprintf("producer %s: output accumulates partial sums through DRAM", prod)
+	case reasonRefetch:
+		return fmt.Sprintf("consumer %s: input is re-fetched from DRAM", cons)
+	case reasonDedicated:
+		return fmt.Sprintf("level %d: intermediate granule %d words exceeds dedicated output capacity %d",
+			F, k.a, f.pp.roleCap[F][workload.Output])
+	default: // reasonShared
+		return fmt.Sprintf("level %d: intermediate granule plus producer tiles (%d words) exceed shared capacity %d",
+			F, k.a, f.pp.sharedCap[F])
 	}
 }
 
@@ -336,14 +534,4 @@ func (f *FusedEvaluator) EvaluateDisabled(pm, cm *mapping.Mapping) FusedCost {
 		EnergyPJ: energy,
 		EDP:      energy * cycles,
 	}
-}
-
-// dimIndex returns the plan-local id of a workload dimension name.
-func (p *Plan) dimIndex(name string) int {
-	for i := range p.work.Dims {
-		if p.work.Dims[i].Name == name {
-			return i
-		}
-	}
-	panic("nest: unknown dimension " + name)
 }

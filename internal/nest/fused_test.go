@@ -1,6 +1,11 @@
 package nest
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -8,6 +13,7 @@ import (
 	"ruby/internal/arch"
 	"ruby/internal/mapspace"
 	"ruby/internal/workload"
+	"ruby/internal/workloads"
 )
 
 // fusedFixture is a pointwise producer feeding a 3x3 consumer (halo) on an
@@ -185,5 +191,112 @@ func TestNewFusedEvaluatorRejectsBadLevel(t *testing.T) {
 	b, a := fusedFixture(t)
 	if _, err := NewFusedEvaluator(b, a, len(a.Levels)); err == nil {
 		t.Fatal("fuse level beyond the hierarchy accepted")
+	}
+}
+
+// fusedEvaluateDigest pins Evaluate over the pairs of
+// TestFusedProducerHalfMatchesEvaluate, bit for bit and reason for reason.
+// It was recorded from the single-function fused kernel the consumer and
+// producer halves replaced.
+const fusedEvaluateDigest = "94b1458ca0c5d801820c0dab61d289bf7984c7ea1284691b272f0de04ed9749d"
+
+// hashFused feeds every field of a fused verdict into h.
+func hashFused(h hash.Hash, fc FusedCost) {
+	var b [8]byte
+	f := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	cost := func(c Cost) {
+		fmt.Fprintf(h, "%v|%s|%s|", c.Valid, c.Reason, c.BandwidthBound)
+		for _, v := range []float64{c.Cycles, c.EnergyPJ, c.EDP, c.Utilization, c.MACs,
+			c.MACEnergyPJ, c.NoCEnergyPJ, c.StaticEnergyPJ} {
+			f(v)
+		}
+		for li := range c.LevelReads {
+			f(c.LevelReads[li])
+			f(c.LevelWrites[li])
+			f(c.LevelEnergyPJ[li])
+		}
+	}
+	fmt.Fprintf(h, "%v|%s|", fc.Valid, fc.Reason)
+	cost(fc.Producer)
+	cost(fc.Consumer)
+	for _, v := range []float64{fc.Cycles, fc.EnergyPJ, fc.EDP, fc.ElidedWords} {
+		f(v)
+	}
+}
+
+// The producer half against a consumer bound once must price every producer
+// exactly as Evaluate(pm, cm) does on a separate evaluator, field for field,
+// valid and invalid verdicts alike. The pairs cover every ResNet-50 edge:
+// fusable consumers and some that fail a consumer-side check, each with
+// producers drawn inside its fused-tile constraint (three in four
+// consumers) or unconstrained.
+func TestFusedProducerHalfMatchesEvaluate(t *testing.T) {
+	net := workloads.ResNet50Network()
+	a := arch.EyerissLike(14, 12, 128)
+	binds, err := net.Bindings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	rng := rand.New(rand.NewSource(42))
+	pairs, valid := 0, 0
+	for _, b := range binds {
+		ref, err := NewFusedEvaluator(b, a, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		half, err := NewFusedEvaluator(b, a, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csp := mapspace.New(b.Cons.Work, a, mapspace.RubyS, mapspace.EyerissRowStationary(b.Cons.Work))
+		free := mapspace.New(b.Prod.Work, a, mapspace.RubyS, mapspace.EyerissRowStationary(b.Prod.Work))
+		fusable, other := 0, 0
+		for i := 0; i < 4000 && fusable < 30; i++ {
+			cm := csp.Sample(rng)
+			_, ok := ref.ConsumerFusable(cm)
+			switch {
+			case ok:
+				fusable++
+			case other < 10 && i%8 == 0:
+				other++
+			default:
+				continue
+			}
+			psp := free
+			if ft, err := mapspace.FuseTileOf(b, a, cm, 1); err == nil && i%4 != 0 {
+				pc := mapspace.EyerissRowStationary(b.Prod.Work)
+				pc.FuseTile, pc.FuseLevel = ft, 1
+				psp = mapspace.New(b.Prod.Work, a, mapspace.RubyS, pc)
+			}
+			if half.BindConsumer(cm) != ok {
+				t.Fatalf("edge %d: BindConsumer says %v, ConsumerFusable %v", b.EdgeIndex, !ok, ok)
+			}
+			for j := 0; j < 20; j++ {
+				pm := psp.Sample(rng)
+				want := ref.Evaluate(pm, cm)
+				got := half.EvaluateProducerInto(pm)
+				if got.Valid != want.Valid || got.Reason != want.Reason ||
+					!costsIdentical(got.Producer, want.Producer) || !costsIdentical(got.Consumer, want.Consumer) ||
+					got.Cycles != want.Cycles || got.EnergyPJ != want.EnergyPJ || got.EDP != want.EDP ||
+					got.ElidedWords != want.ElidedWords {
+					t.Fatalf("edge %d pair %d: producer half %+v, Evaluate %+v", b.EdgeIndex, pairs, got, want)
+				}
+				pairs++
+				if want.Valid {
+					valid++
+				}
+				hashFused(h, want)
+			}
+		}
+	}
+	if pairs < 1000 || valid == 0 || valid == pairs {
+		t.Fatalf("%d pairs, %d valid: want >= 1000 with both verdicts", pairs, valid)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != fusedEvaluateDigest {
+		t.Fatalf("Evaluate digest over %d pairs (%d valid) = %s, want %s", pairs, valid, got, fusedEvaluateDigest)
 	}
 }

@@ -227,12 +227,17 @@ func (c Cost) Clone() Cost {
 	if c.LevelReads == nil {
 		return c
 	}
+	return c.cloneInto(make([]float64, 3*len(c.LevelReads)))
+}
+
+// cloneInto is Clone into caller-owned storage b of 3*len(c.LevelReads)
+// words, which the returned Cost's per-level slices then alias.
+func (c Cost) cloneInto(b []float64) Cost {
 	n := len(c.LevelReads)
-	b := make([]float64, 3*n)
 	copy(b[:n], c.LevelReads)
 	copy(b[n:2*n], c.LevelWrites)
 	copy(b[2*n:], c.LevelEnergyPJ)
-	c.LevelReads, c.LevelWrites, c.LevelEnergyPJ = b[:n:n], b[n:2*n:2*n], b[2*n:]
+	c.LevelReads, c.LevelWrites, c.LevelEnergyPJ = b[:n:n], b[n:2*n:2*n], b[2*n:3*n:3*n]
 	return c
 }
 

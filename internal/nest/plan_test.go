@@ -233,6 +233,82 @@ func TestEvaluateAllocationFree(t *testing.T) {
 	}
 }
 
+// TestFusedProducerStepAllocationFree guards the fused producer search's
+// steady state: one step — propose a move, apply it in place, price the
+// producer against the bound consumer, undo — allocates nothing. The steps
+// are replayed from a warmed RNG so every invalid verdict they meet is
+// already interned.
+func TestFusedProducerStepAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	bind, err := workloads.ResNet50Network().Bind(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arch.EyerissLike(14, 12, 128)
+	fe, err := nest.NewFusedEvaluator(bind, a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csp := mapspace.New(bind.Cons.Work, a, mapspace.RubyS, mapspace.EyerissRowStationary(bind.Cons.Work))
+	rng := rand.New(rand.NewSource(4))
+	var psp *mapspace.Space
+	pm := &mapping.Mapping{}
+	for i := 0; i < 20000 && psp == nil; i++ {
+		cm := csp.Sample(rng)
+		if !fe.BindConsumer(cm) {
+			continue
+		}
+		ft, err := mapspace.FuseTileOf(bind, a, cm, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons := mapspace.EyerissRowStationary(bind.Prod.Work)
+		cons.FuseTile, cons.FuseLevel = ft, 1
+		sp := mapspace.New(bind.Prod.Work, a, mapspace.RubyS, cons)
+		smp := sp.NewSampler()
+		for j := 0; j < 200; j++ {
+			smp.SampleInto(rng, pm)
+			if fe.EvaluateProducerInto(pm).Valid {
+				psp = sp
+				break
+			}
+		}
+	}
+	if psp == nil {
+		t.Fatal("no fused-valid pair sampled")
+	}
+	mu := psp.NewMutator()
+	var valid int
+	step := func() {
+		mv := mu.Propose(rng)
+		mv.Apply(pm)
+		if fe.EvaluateProducerInto(pm).Valid {
+			valid++
+		}
+		mv.Undo(pm)
+	}
+	rng.Seed(9)
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	if valid == 0 || valid == 1000 {
+		t.Fatalf("%d of 1000 steps valid: want both verdicts", valid)
+	}
+	// One measured run of 400 steps, so even a rare allocation counts
+	// (AllocsPerRun truncates its per-run average). Its warm-up run replays
+	// steps 1-400 and the measured run steps 401-800.
+	rng.Seed(9)
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 400; i++ {
+			step()
+		}
+	}); n != 0 {
+		t.Errorf("400 fused producer steps allocate %v times, want 0", n)
+	}
+}
+
 // TestCostClone checks the detach contract EvaluateInto callers rely on.
 func TestCostClone(t *testing.T) {
 	tc := planCases()[0]

@@ -3,8 +3,8 @@
 // tiling to its consumer's input-tile boundaries (mapspace.FuseTileOf) so the
 // intermediate tensor stays at the shared on-chip level and its DRAM
 // round-trip is elided (nest.FusedEvaluator). Segments are searched per edge,
-// then selected greedily without sharing nodes, so each layer participates in
-// at most one fused pair.
+// so.Parallel edges at a time, then selected greedily without sharing nodes,
+// so each layer participates in at most one fused pair.
 package sweep
 
 import (
@@ -109,9 +109,10 @@ type NetworkResult struct {
 // pair's per-layer baseline, selected greedily so no node fuses twice and
 // every kept segment strictly lowers the network EDP. The returned totals
 // therefore never exceed the baseline's, and improve strictly whenever any
-// segment is kept. Segment searches are seeded from so.Search.Seed and the
-// edge's names, so runs are reproducible, and so.Checkpoint (when set)
-// persists both the baseline layers and the per-edge segment outcomes.
+// segment is kept. Segment searches run so.Parallel at a time, each seeded
+// from so.Search.Seed and its edge's names, so runs are reproducible and
+// independent of the schedule, and so.Checkpoint (when set) persists both
+// the baseline layers and the per-edge segment outcomes.
 func SearchNetwork(ctx context.Context, net *workload.Network, a *arch.Arch, st Strategy,
 	consFn ConstraintFn, so SuiteOptions, fuse bool) (*NetworkResult, error) {
 
@@ -138,18 +139,28 @@ func SearchNetwork(ctx context.Context, net *workload.Network, a *arch.Arch, st 
 		byName[lr.Layer.Name] = lr
 	}
 
-	var candidates []SegmentResult
-	for _, b := range binds {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("sweep: network %s: %w", net.Name, ctx.Err())
-		}
+	// Segment searches are independent — each seeds its own RNG from the
+	// edge (segmentSeed) — so they run so.Parallel at a time, and the
+	// outcomes, collected by edge index, do not depend on the schedule.
+	type outcome struct {
+		sr SegmentResult
+		ok bool
+	}
+	outcomes := make([]outcome, len(binds))
+	err = forEachIndex(ctx, len(binds), so.Parallel, func(i int) error {
+		b := binds[i]
 		sr, ok, err := searchSegmentCached(ctx, b, a, st, consFn, so,
 			byName[b.Prod.Name], byName[b.Cons.Name])
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			candidates = append(candidates, sr)
+		outcomes[i] = outcome{sr, ok}
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sweep: network %s: %w", net.Name, err)
+	}
+	var candidates []SegmentResult
+	for _, o := range outcomes {
+		if o.ok {
+			candidates = append(candidates, o.sr)
 		}
 	}
 
@@ -251,56 +262,79 @@ func searchSegment(ctx context.Context, b workload.EdgeBinding, a *arch.Arch, st
 		BaselineEnergyPJ: baseE, BaselineCycles: baseC,
 	}
 
-	// Stage 1: shortlist fusable consumers, best per-layer EDP first.
+	// Stage 1: shortlist fusable consumers, best per-layer EDP first. The
+	// shortlist owns its mappings; samples are drawn in place, and a kept
+	// sample is replaced as the draw target by the entry it evicted.
 	type consumer struct {
 		m   *mapping.Mapping
 		edp float64
 	}
 	var cands []consumer
-	add := func(m *mapping.Mapping) {
-		c, ok := fe.ConsumerFusable(m)
+	// offer shortlists m when it is fusable and ranks among the best
+	// segmentConsumers, and returns the mapping the caller may draw into
+	// next: m itself when it was not kept, otherwise the evicted entry (nil
+	// when the shortlist had room).
+	offer := func(m *mapping.Mapping) *mapping.Mapping {
+		c, ok := fe.ConsumerFusableInto(m)
 		sr.Evaluated++
 		if !ok {
-			return
+			return m
 		}
-		for i := range cands {
-			if c.EDP < cands[i].edp {
-				cands = append(cands[:i], append([]consumer{{m, c.EDP}}, cands[i:]...)...)
-				if len(cands) > segmentConsumers {
-					cands = cands[:segmentConsumers]
-				}
-				return
-			}
+		i := len(cands)
+		for i > 0 && c.EDP < cands[i-1].edp {
+			i--
 		}
-		if len(cands) < segmentConsumers {
-			cands = append(cands, consumer{m, c.EDP})
+		if i == segmentConsumers {
+			return m
 		}
+		var evicted *mapping.Mapping
+		if len(cands) == segmentConsumers {
+			evicted = cands[len(cands)-1].m
+			cands = cands[:len(cands)-1]
+		}
+		cands = append(cands, consumer{})
+		copy(cands[i+1:], cands[i:])
+		cands[i] = consumer{m, c.EDP}
+		return evicted
 	}
 	if bc.Workload == b.Cons.Work { // the winner, unless a padded variant won
-		add(bc.Search.Best)
+		// A copy: the shortlist climbs its entries in place, and the
+		// winner is shared with the baseline and with concurrent segments.
+		offer(bc.Search.Best.Clone())
 	}
+	smp := csp.NewSampler()
+	m := &mapping.Mapping{}
 	for i := int64(0); i < budget/4; i++ {
-		add(csp.Sample(rng))
+		smp.SampleInto(rng, m)
+		if m = offer(m); m == nil {
+			m = &mapping.Mapping{}
+		}
 	}
 	// Random fusable samples are usually far off the per-layer winner, so
-	// hill-climb each shortlisted consumer within the fusable region.
+	// hill-climb each shortlisted consumer within the fusable region, in
+	// place: a rejected move is undone.
 	cmu := csp.NewMutator()
 	if len(cands) > 0 {
 		steps := budget / 4 / int64(len(cands))
 		for i := range cands {
+			cm := cands[i].m
 			for j := int64(0); j < steps; j++ {
-				m := cands[i].m.Clone()
-				cmu.Propose(rng).Apply(m)
-				c, ok := fe.ConsumerFusable(m)
+				mv := cmu.Propose(rng)
+				mv.Apply(cm)
+				c, ok := fe.ConsumerFusableInto(cm)
 				sr.Evaluated++
 				if ok && c.EDP < cands[i].edp {
-					cands[i] = consumer{m, c.EDP}
+					cands[i].edp = c.EDP
+				} else {
+					mv.Undo(cm)
 				}
 			}
 		}
 	}
 
-	// Stage 2: constrained producer search per shortlisted consumer.
+	// Stage 2: constrained producer search per shortlisted consumer, its
+	// consumer half priced once (BindConsumer) and each producer proposal
+	// by the producer half alone.
 	found := false
 	perCons := budget / 2 / int64(segmentConsumers)
 	if perCons < 1 {
@@ -318,33 +352,35 @@ func searchSegment(ctx context.Context, b workload.EdgeBinding, a *arch.Arch, st
 		pcons := consFn(b.Prod.Work)
 		pcons.FuseTile, pcons.FuseLevel = ft, FuseLevel
 		psp := mapspace.New(b.Prod.Work, a, st.Kind, pcons)
-		mu := psp.NewMutator()
+		psmp, mu := psp.NewSampler(), psp.NewMutator()
+		fe.BindConsumer(cm)
 
-		var best *mapping.Mapping
-		var bestFC nest.FusedCost
+		// Sample until a producer is valid, then hill-climb it in place.
+		pm := &mapping.Mapping{}
+		have := false
+		var bestEDP float64
 		for j := int64(0); j < perCons; j++ {
-			var pm *mapping.Mapping
-			if best == nil {
-				pm = psp.Sample(rng)
+			var mv *mapspace.Move
+			if have {
+				mv = mu.Propose(rng)
+				mv.Apply(pm)
 			} else {
-				pm = best.Clone()
-				mu.Propose(rng).Apply(pm)
+				psmp.SampleInto(rng, pm)
 			}
 			sr.Evaluated++
-			fc := fe.Evaluate(pm, cm)
-			if !fc.Valid {
-				continue
-			}
-			if best == nil || fc.EDP < bestFC.EDP {
-				best, bestFC = pm, fc
+			fc := fe.EvaluateProducerInto(pm)
+			if fc.Valid && (!have || fc.EDP < bestEDP) {
+				have, bestEDP = true, fc.EDP
+			} else if mv != nil {
+				mv.Undo(pm)
 			}
 		}
-		if best == nil || bestFC.EDP >= baseE*baseC {
+		if !have || bestEDP >= baseE*baseC {
 			continue
 		}
-		if !found || bestFC.EDP < sr.Fused.EDP {
+		if !found || bestEDP < sr.Fused.EDP {
 			found = true
-			sr.Fused, sr.Producer, sr.Consumer = bestFC, best, cm
+			sr.Fused, sr.Producer, sr.Consumer = fe.Evaluate(pm, cm), pm, cm
 		}
 	}
 	return sr, found, nil

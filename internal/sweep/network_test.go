@@ -2,7 +2,11 @@ package sweep
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ruby/internal/arch"
@@ -32,17 +36,21 @@ func pairNetwork() *workload.Network {
 }
 
 // The network entry point over an edge-free graph must reproduce the []Layer
-// path exactly.
+// path exactly. Both sides search with one thread: multi-threaded one-shot
+// random search shares its budget counter across workers, so which samples
+// it evaluates depends on goroutine scheduling.
 func TestRunSuiteNetworkMatchesLayers(t *testing.T) {
 	a := arch.EyerissLike(14, 12, 128)
 	st := Strategy{Name: "Ruby-S", Kind: mapspace.RubyS}
 	layers := smallSuite()
 	net := workloads.NetworkFromLayers("small", layers)
-	want, err := RunSuiteLayers(context.Background(), layers, a, st, mapspace.EyerissRowStationary, SuiteOptions{Search: quickOpt})
+	opt := quickOpt
+	opt.Threads = 1
+	want, err := RunSuiteLayers(context.Background(), layers, a, st, mapspace.EyerissRowStationary, SuiteOptions{Search: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSuite(context.Background(), net, a, st, mapspace.EyerissRowStationary, SuiteOptions{Search: quickOpt})
+	got, err := RunSuite(context.Background(), net, a, st, mapspace.EyerissRowStationary, SuiteOptions{Search: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +185,16 @@ func TestSearchNetworkFusesDeepBenchStack(t *testing.T) {
 
 // A checkpointed network search must resume bit-identically: the second run
 // restores both the baseline layers and the fused segments without
-// re-searching.
+// re-searching, whether the layers and segments ran serially or two-wide.
 func TestSearchNetworkCheckpointResume(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
+			testSearchNetworkCheckpointResume(t, par)
+		})
+	}
+}
+
+func testSearchNetworkCheckpointResume(t *testing.T, par int) {
 	net := pairNetwork()
 	a := arch.EyerissLike(4, 3, 2)
 	st := Strategy{Name: "Ruby-S", Kind: mapspace.RubyS}
@@ -190,7 +206,7 @@ func TestSearchNetworkCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	first, err := SearchNetwork(context.Background(), net, a, st, freeCons,
-		SuiteOptions{Search: opt, Checkpoint: cp}, true)
+		SuiteOptions{Search: opt, Checkpoint: cp, Parallel: par}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +219,7 @@ func TestSearchNetworkCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	second, err := SearchNetwork(context.Background(), net, a, st, freeCons,
-		SuiteOptions{Search: opt, Checkpoint: cp2}, true)
+		SuiteOptions{Search: opt, Checkpoint: cp2, Parallel: par}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,5 +236,85 @@ func TestSearchNetworkCheckpointResume(t *testing.T) {
 	}
 	if sg2.Evaluated != 0 {
 		t.Fatalf("resumed segment re-searched (%d evaluations)", sg2.Evaluated)
+	}
+}
+
+// searchNetworkGolden pins SearchNetwork on ResNet-50 (Eyeriss-like 14x12,
+// row-stationary, 1000 evaluations per layer and per segment) per
+// strategy/seed: the network EDP bits, then per kept segment its edge, its
+// Evaluated count, its fused EDP bits and the leading 8 bytes of the
+// SHA-256 of each winning mapping's Encode bytes. It was recorded from the
+// serial segment search that cloned every proposal, which the parallel,
+// in-place search must reproduce bit for bit.
+var searchNetworkGolden = map[string][]string{
+	"Ruby-S/1001": {
+		"edp=43ce742f1e4fa3c3",
+		"res3x_branch2b->res3x_branch2c edge=4 evaluated=751 edp=433a4d5d387b0000 prod=574ef70f86c3ea2b cons=0d2b24acb20edf09",
+		"res2x_branch2c->res3a_branch2a edge=2 evaluated=999 edp=431bb077ee666666 prod=b38c20f887eb1355 cons=c9a62b8e0ea9ecb3",
+		"res4a_branch2a->res4x_branch2b edge=6 evaluated=999 edp=432b666bc516d800 prod=afb035045eded7ec cons=31524c6ff14ed2b5",
+		"res4x_branch2c->res5a_branch2a edge=8 evaluated=999 edp=432396d875b8869a prod=dfe4258b114ac325 cons=c8506d6883fb75db",
+		"res2a_branch2a->res2x_branch2b edge=0 evaluated=626 edp=432d5956c3333334 prod=ce0db594de156430 cons=85eb958494e1781f",
+	},
+	"Ruby-S/2002": {
+		"edp=43d0d52d3f800b6a",
+		"res5x_branch2b->res5x_branch2c edge=10 evaluated=999 edp=433c92d29ccaa932 prod=e27a96a3981b6050 cons=1570976ea6853f51",
+		"res2a_branch2a->res2x_branch2b edge=0 evaluated=626 edp=4322595a1c1e0000 prod=7fde65096b240036 cons=f1024c91f7f696f6",
+		"res3a_branch2a->res3x_branch2b edge=3 evaluated=999 edp=4334674ed8ed3a66 prod=754663c5b380548c cons=68a154533c1333fd",
+		"res4x_branch2c->res5a_branch2a edge=8 evaluated=999 edp=4322cbf83328c9ff prod=4ea43a803828baef cons=1b98d045e3ea7d82",
+	},
+	"PFM/1001": {
+		"edp=43ddd1d651fec578",
+		"res4x_branch2b->res4x_branch2c edge=7 evaluated=999 edp=43429dd665c00000 prod=81045d5f3eea6b77 cons=629c1d580ccfcd43",
+		"res2x_branch2c->res3a_branch2a edge=2 evaluated=626 edp=432b891a8e666666 prod=9673d715852fbe43 cons=c6e855ceceda1602",
+	},
+	"PFM/2002": {
+		"edp=43dac2f022aa1db1",
+		"res3x_branch2b->res3x_branch2c edge=4 evaluated=875 edp=43465b0489000001 prod=eecb2ec598466b79 cons=4c240ba25d62393e",
+		"res2a_branch2a->res2x_branch2b edge=0 evaluated=626 edp=432c58ed1acccccd prod=d9f8bff3165b272e cons=0f1a6fe60c24f8be",
+		"res4x_branch2c->res5a_branch2a edge=8 evaluated=999 edp=43195865dd000000 prod=dea8019733ba5239 cons=d2f78d97aa875c42",
+		"res2x_branch2c->res3a_branch2a edge=2 evaluated=751 edp=4324ecb289333333 prod=28a5b055faf2f9ed cons=2b0c260e54e20dc3",
+	},
+}
+
+// networkDigest renders a network result in searchNetworkGolden's form.
+func networkDigest(t *testing.T, nr *NetworkResult) []string {
+	t.Helper()
+	out := []string{fmt.Sprintf("edp=%016x", math.Float64bits(nr.EDP))}
+	for _, sg := range nr.Segments {
+		pb, err := sg.Producer.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := sg.Consumer.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ph, ch := sha256.Sum256(pb), sha256.Sum256(cb)
+		out = append(out, fmt.Sprintf("%s->%s edge=%d evaluated=%d edp=%016x prod=%x cons=%x",
+			sg.From, sg.To, sg.EdgeIndex, sg.Evaluated, math.Float64bits(sg.Fused.EDP), ph[:8], ch[:8]))
+	}
+	return out
+}
+
+// Segment search must not depend on the schedule: serial and two-wide
+// network searches reproduce the golden exactly (run under -race, this also
+// checks the concurrent segments share nothing mutable).
+func TestSearchNetworkGolden(t *testing.T) {
+	net := workloads.ResNet50Network()
+	a := arch.EyerissLike(14, 12, 128)
+	for _, st := range []Strategy{{Name: "Ruby-S", Kind: mapspace.RubyS}, {Name: "PFM", Kind: mapspace.PFM}} {
+		for _, seed := range []int64{1001, 2002} {
+			key := fmt.Sprintf("%s/%d", st.Name, seed)
+			for _, par := range []int{1, 2} {
+				so := SuiteOptions{Search: search.Options{Seed: seed, Threads: 1, MaxEvaluations: 1000}, Parallel: par}
+				nr, err := SearchNetwork(context.Background(), net, a, st, mapspace.EyerissRowStationary, so, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := networkDigest(t, nr); !reflect.DeepEqual(got, searchNetworkGolden[key]) {
+					t.Errorf("%s Parallel %d:\ngot  %q\nwant %q", key, par, got, searchNetworkGolden[key])
+				}
+			}
+		}
 	}
 }

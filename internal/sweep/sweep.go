@@ -5,11 +5,15 @@
 //
 // Suite runs route through the evaluation engine (internal/engine): layer
 // searches honor context cancellation, share a metrics hook, optionally
-// memoize duplicate samples, and run in parallel across layers (each layer's
-// search result is independent and seeded deterministically, so parallel and
-// serial suite runs produce identical output). When the context carries an
-// obs.Recorder, each suite and layer search records a trace span, so a suite
-// run's span tree reads suite → layer → search → eval-batch.
+// memoize duplicate samples, and run in parallel across layers; network
+// searches then run their fused segments in parallel across edges. Every
+// layer and segment search is seeded independently, so parallel and serial
+// runs produce identical output — given Search.Threads = 1: one-shot random
+// search with more threads shares one budget counter across its workers, so
+// which samples it evaluates depends on goroutine scheduling. When the
+// context carries an obs.Recorder, each suite, layer and segment search
+// records a trace span, so a suite run's span tree reads suite → layer →
+// search → eval-batch.
 package sweep
 
 import (
@@ -56,7 +60,7 @@ type ConstraintFn func(*workload.Workload) mapspace.Constraints
 
 // SuiteOptions bundles the knobs of a suite run beyond the per-layer search
 // options: the evaluation-engine configuration (cache, metrics), an optional
-// mapping library, and the number of layers searched concurrently.
+// mapping library, and the number of searches run concurrently.
 type SuiteOptions struct {
 	// Search configures each layer's random search.
 	Search search.Options
@@ -70,9 +74,10 @@ type SuiteOptions struct {
 	// entries are keyed by the full search configuration, so they are exact
 	// resumption, not approximation.
 	Checkpoint *SuiteCheckpoint
-	// Parallel is the number of layers searched concurrently (0 = derive
-	// from NumCPU and Search.Threads so the machine is busy but not
-	// oversubscribed; 1 = serial).
+	// Parallel is the number of layers — and, in SearchNetwork, of fused
+	// segments — searched concurrently (0 = derive from NumCPU and
+	// Search.Threads so the machine is busy but not oversubscribed;
+	// 1 = serial).
 	Parallel int
 }
 
@@ -207,45 +212,13 @@ func RunSuiteLayers(ctx context.Context, layers []workloads.Layer, a *arch.Arch,
 	so = so.withDefaults()
 	out := &SuiteResult{Strategy: st, Arch: a}
 	results := make([]LayerResult, len(layers))
-	errs := make([]error, len(layers))
-
-	workers := so.Parallel
-	if workers > len(layers) {
-		workers = len(layers)
-	}
-	if workers <= 1 {
-		for i, l := range layers {
-			results[i], errs[i] = searchLayerCached(ctx, l, a, st, consFn, so)
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-	} else {
-		var next int
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for t := 0; t < workers; t++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					i := next
-					next++
-					mu.Unlock()
-					if i >= len(layers) {
-						return
-					}
-					results[i], errs[i] = searchLayerCached(ctx, layers[i], a, st, consFn, so)
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	err := forEachIndex(ctx, len(layers), so.Parallel, func(i int) error {
+		var err error
+		results[i], err = searchLayerCached(ctx, layers[i], a, st, consFn, so)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	for i, l := range layers {
@@ -256,6 +229,64 @@ func RunSuiteLayers(ctx context.Context, layers []workloads.Layer, a *arch.Arch,
 	}
 	out.EDP = out.TotalEnergyPJ * out.TotalCycles
 	return out, nil
+}
+
+// forEachIndex calls fn(i) for every i in [0, n), up to workers at a time
+// (workers <= 1 runs serially on the calling goroutine). Indices start in
+// ascending order; once ctx is done or a call fails, no further index
+// starts. The result is the error of the lowest failing index — the error a
+// serial loop stopping at its first failure returns, since every lower
+// index has already started — or, when ctx stopped the loop before every
+// index ran, an error wrapping ctx's.
+func forEachIndex(ctx context.Context, n, workers int, fn func(i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	errs := make([]error, n)
+	var next int
+	var mu sync.Mutex
+	// claim hands out the next index, or -1 once the loop must stop.
+	claim := func(ctx context.Context) int {
+		mu.Lock()
+		defer mu.Unlock()
+		if next >= n || ctx != nil && ctx.Err() != nil {
+			return -1
+		}
+		i := next
+		next++
+		return i
+	}
+	work := func(ctx context.Context) {
+		for i := claim(ctx); i >= 0; i = claim(ctx) {
+			if errs[i] = fn(i); errs[i] != nil {
+				mu.Lock()
+				next = n // start nothing more
+				mu.Unlock()
+			}
+		}
+	}
+	if workers <= 1 {
+		work(ctx)
+	} else {
+		var wg sync.WaitGroup
+		for t := 0; t < workers; t++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(ctx)
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if next < n {
+		return fmt.Errorf("sweep: %d of %d tasks not started: %w", n-next, n, ctx.Err())
+	}
+	return nil
 }
 
 func searchLayerCached(ctx context.Context, l workloads.Layer, a *arch.Arch, st Strategy,

@@ -2,6 +2,9 @@ package sweep
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"ruby/internal/arch"
@@ -155,5 +158,50 @@ func TestRunSuiteCached(t *testing.T) {
 	}
 	if n, _ := lib.Len(); n != 2 {
 		t.Errorf("padding strategy polluted the cache: %d entries", n)
+	}
+}
+
+// forEachIndex runs every index exactly once at any width, reports the
+// lowest failing index's error, starts nothing after a failure when serial,
+// and starts nothing at all under a cancelled context.
+func TestForEachIndex(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var seen [10]atomic.Int32
+		if err := forEachIndex(context.Background(), 10, workers, func(i int) error {
+			seen[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		for i := range seen {
+			if n := seen[i].Load(); n != 1 {
+				t.Fatalf("workers %d: index %d ran %d times", workers, i, n)
+			}
+		}
+
+		var started atomic.Int32
+		err := forEachIndex(context.Background(), 10, workers, func(i int) error {
+			started.Add(1)
+			if i == 4 || i == 6 {
+				return fmt.Errorf("fail %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "fail 4" {
+			t.Fatalf("workers %d: err = %v, want the lowest failing index's", workers, err)
+		}
+		if workers == 1 && started.Load() != 5 {
+			t.Fatalf("serial run started %d indices, want 5 (stop at the first failure)", started.Load())
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := forEachIndex(ctx, 4, 2, func(int) error {
+		t.Error("index started under a cancelled context")
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
