@@ -42,6 +42,7 @@ import (
 
 	"ruby/internal/dist"
 	"ruby/internal/obs"
+	"ruby/internal/search"
 	"ruby/internal/server"
 )
 
@@ -178,7 +179,7 @@ func setup(wlFile, archFile, consFile, kind, algo, obj string,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if _, err := dist.ParseObjective(obj); err != nil {
+	if _, err := search.ParseObjective(obj); err != nil {
 		return nil, nil, nil, err
 	}
 	plan, err := dist.BuildPlan(sp, algo, seed, shards, evals)

@@ -121,26 +121,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var a *arch.Arch
-	if *archFile != "" {
-		a, err = config.LoadArch(*archFile)
-	} else {
-		a, err = resolveArch(*archStr)
-	}
+	a, dataflow, err := loadArch(*archStr, *archFile)
 	if err != nil {
 		fatal(err)
 	}
-	k, err := resolveKind(*kind)
+	k, err := mapspace.ParseKind(*kind)
 	if err != nil {
 		fatal(err)
 	}
 
-	cons := mapspace.EyerissRowStationary(w)
-	if strings.HasPrefix(*archStr, "simba") {
-		cons = mapspace.SimbaDataflow(w)
-	} else if strings.HasPrefix(*archStr, "toy") || *archFile != "" {
-		cons = mapspace.Constraints{}
-	}
+	cons := mapspace.PresetConstraints(dataflow)(w)
 	if *consFile != "" {
 		cons, err = config.LoadConstraints(*consFile)
 		if err != nil {
@@ -190,7 +180,7 @@ func main() {
 		}
 		res = &search.Result{Best: m, BestCost: c, Evaluated: 1, Valid: 1}
 	} else {
-		obj, err := resolveObjective(*objFlag)
+		obj, err := search.ParseObjective(*objFlag)
 		if err != nil {
 			fatal(err)
 		}
@@ -256,38 +246,23 @@ func main() {
 func runNetwork(name, archStr, archFile, kindStr, objFlag string,
 	seed, evals int64, threads int, timeout time.Duration) {
 
-	net, ok := workloads.Networks()[name]
-	if !ok {
-		layers, found := workloads.Suites()[name]
-		if !found {
-			fatal(fmt.Errorf("unknown network %q (rubysuite -list names them)", name))
-		}
-		net = workloads.NetworkFromLayers(name, layers)
+	net, err := workloads.NetworkNamed(name)
+	if err != nil {
+		fatal(fmt.Errorf("%w (rubysuite -list names them)", err))
 	}
-	var a *arch.Arch
-	var err error
-	if archFile != "" {
-		a, err = config.LoadArch(archFile)
-	} else {
-		a, err = resolveArch(archStr)
-	}
+	a, dataflow, err := loadArch(archStr, archFile)
 	if err != nil {
 		fatal(err)
 	}
-	k, err := resolveKind(kindStr)
+	k, err := mapspace.ParseKind(kindStr)
 	if err != nil {
 		fatal(err)
 	}
-	obj, err := resolveObjective(objFlag)
+	obj, err := search.ParseObjective(objFlag)
 	if err != nil {
 		fatal(err)
 	}
-	consFn := sweep.ConstraintFn(mapspace.EyerissRowStationary)
-	if strings.HasPrefix(archStr, "simba") {
-		consFn = mapspace.SimbaDataflow
-	} else if strings.HasPrefix(archStr, "toy") || archFile != "" {
-		consFn = func(*workload.Workload) mapspace.Constraints { return mapspace.Constraints{} }
-	}
+	consFn := mapspace.PresetConstraints(dataflow)
 
 	ctx := context.Background()
 	if timeout > 0 {
@@ -322,30 +297,21 @@ func runNetwork(name, archStr, archFile, kindStr, objFlag string,
 		nr.Baseline.EDP, nr.EDP, 100*(nr.Baseline.EDP-nr.EDP)/nr.Baseline.EDP)
 }
 
-// runOneShot dispatches the non-checkpointable searchers (and the legacy
-// random/hillclimb parallel paths, kept so existing invocations reproduce
-// their historical draw sequences exactly).
+// runOneShot dispatches the non-checkpointable searchers, with rubymap's
+// own budgets for genetic and anneal, and search.Run for the rest.
 func runOneShot(ctx context.Context, searcher string, sp *mapspace.Space, eng *engine.Engine,
 	ev *nest.Evaluator, k mapspace.Kind, cons mapspace.Constraints,
 	opt search.Options, obj search.Objective, seed, evals int64) *search.Result {
 
 	switch searcher {
-	case "random":
-		return search.Random(ctx, sp, eng, opt)
-	case "guided":
-		return search.Guided(ctx, sp, eng, opt)
 	case "genetic":
 		return search.Genetic(sp, ev, search.GeneticOptions{Seed: seed, Objective: obj})
-	case "hillclimb":
-		return search.HillClimb(ctx, sp, eng, opt)
 	case "anneal":
 		steps := int(evals)
 		if steps <= 0 {
 			steps = 20000
 		}
 		return search.Anneal(sp, ev, search.AnnealOptions{Seed: seed, Steps: steps, Objective: obj})
-	case "portfolio":
-		return search.Portfolio(ctx, sp, eng, opt)
 	case "heuristic":
 		m, c, err := heuristic.Construct(ev, k, cons)
 		if err != nil {
@@ -358,11 +324,13 @@ func runOneShot(ctx context.Context, searcher string, sp *mapspace.Space, eng *e
 			fatal(err)
 		}
 		opt.WarmStart = m
-		return search.Random(ctx, sp, eng, opt)
-	default:
-		fatal(fmt.Errorf("unknown searcher %q", searcher))
-		return nil
+		searcher = "random"
 	}
+	res, err := search.Run(ctx, sp, eng, searcher, opt)
+	if err != nil {
+		fatal(err)
+	}
+	return res
 }
 
 // runCheckpointable drives the resumable searchers under RunCheckpointed:
@@ -373,24 +341,17 @@ func runCheckpointable(ctx context.Context, searcher string, sp *mapspace.Space,
 	ev *nest.Evaluator, k mapspace.Kind, cons mapspace.Constraints,
 	opt search.Options, maxEnum int64, dir string, resume bool) (*search.Result, error) {
 
-	var sr search.Searcher
-	switch searcher {
-	case "random":
-		sr = search.NewRandom(sp, eng, opt)
-	case "warm":
+	algo := searcher
+	if searcher == "warm" {
 		m, _, err := heuristic.Construct(ev, k, cons)
 		if err != nil {
 			return nil, err
 		}
 		opt.WarmStart = m
-		sr = search.NewRandom(sp, eng, opt)
-	case "guided":
-		sr = search.NewGuided(sp, eng, opt)
-	case "hillclimb":
-		sr = search.NewHillClimb(sp, eng, opt)
-	case "exhaustive":
-		sr = search.NewExhaustive(sp, eng, opt, maxEnum)
-	default:
+		algo = "random"
+	}
+	sr, err := search.NewSearcherFor(algo, sp, eng, opt, maxEnum)
+	if err != nil {
 		return nil, fmt.Errorf("-checkpoint/-resume supports random|warm|guided|hillclimb|exhaustive, not %q", searcher)
 	}
 	var cc search.CheckpointConfig
@@ -605,82 +566,14 @@ func parseMatmul(s string) (*workload.Workload, error) {
 	return workload.Matmul("cli_matmul", dims[0], dims[1], dims[2])
 }
 
-func resolveArch(s string) (*arch.Arch, error) {
-	parts := strings.Split(strings.ToLower(s), ":")
-	bad := func() error { return fmt.Errorf("bad arch spec %q", s) }
-	atoi := func(x string) (int, error) { return strconv.Atoi(x) }
-	switch parts[0] {
-	case "eyeriss":
-		if len(parts) != 3 {
-			return nil, bad()
-		}
-		xy := strings.Split(parts[1], "x")
-		if len(xy) != 2 {
-			return nil, bad()
-		}
-		cols, err1 := atoi(xy[0])
-		rows, err2 := atoi(xy[1])
-		glb, err3 := atoi(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, bad()
-		}
-		return arch.EyerissLike(cols, rows, glb), nil
-	case "simba":
-		if len(parts) != 3 {
-			return nil, bad()
-		}
-		pes, err1 := atoi(parts[1])
-		uv := strings.Split(parts[2], "x")
-		if len(uv) != 2 || err1 != nil {
-			return nil, bad()
-		}
-		units, err2 := atoi(uv[0])
-		width, err3 := atoi(uv[1])
-		if err2 != nil || err3 != nil {
-			return nil, bad()
-		}
-		return arch.SimbaLike(pes, units, width), nil
-	case "toy":
-		if len(parts) != 3 {
-			return nil, bad()
-		}
-		pes, err1 := atoi(parts[1])
-		spad, err2 := atoi(parts[2])
-		if err1 != nil || err2 != nil {
-			return nil, bad()
-		}
-		return arch.ToyLinear(pes, int64(spad)), nil
-	default:
-		return nil, bad()
+// loadArch reads -arch-file when given, with no default dataflow, and
+// otherwise parses the -arch preset with the preset's dataflow.
+func loadArch(preset, file string) (*arch.Arch, arch.Dataflow, error) {
+	if file != "" {
+		a, err := config.LoadArch(file)
+		return a, arch.DataflowNone, err
 	}
-}
-
-func resolveObjective(s string) (search.Objective, error) {
-	switch strings.ToLower(s) {
-	case "edp", "":
-		return search.ObjectiveEDP, nil
-	case "energy":
-		return search.ObjectiveEnergy, nil
-	case "delay", "latency", "cycles":
-		return search.ObjectiveDelay, nil
-	default:
-		return 0, fmt.Errorf("unknown objective %q", s)
-	}
-}
-
-func resolveKind(s string) (mapspace.Kind, error) {
-	switch strings.ToLower(s) {
-	case "pfm", "perfect":
-		return mapspace.PFM, nil
-	case "ruby":
-		return mapspace.Ruby, nil
-	case "ruby-s", "rubys", "s":
-		return mapspace.RubyS, nil
-	case "ruby-t", "rubyt", "t":
-		return mapspace.RubyT, nil
-	default:
-		return 0, fmt.Errorf("unknown mapspace %q", s)
-	}
+	return arch.ParsePreset(preset)
 }
 
 func fatal(err error) {

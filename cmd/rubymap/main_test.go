@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"ruby/internal/arch"
 	"ruby/internal/mapspace"
 	"ruby/internal/search"
 )
@@ -45,22 +46,25 @@ func TestParseMatmul(t *testing.T) {
 	}
 }
 
+// The -arch, -mapspace and -objective values go through the shared parsers;
+// TestResolveArch, TestResolveKind and TestResolveObjective pin the
+// spellings rubymap has always accepted.
 func TestResolveArch(t *testing.T) {
-	a, err := resolveArch("eyeriss:14x12:128")
+	a, _, err := arch.ParsePreset("eyeriss:14x12:128")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.TotalLanes() != 168 {
 		t.Error("eyeriss lanes wrong")
 	}
-	s, err := resolveArch("simba:15:4x4")
+	s, _, err := arch.ParsePreset("simba:15:4x4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.TotalLanes() != 240 {
 		t.Error("simba lanes wrong")
 	}
-	toy, err := resolveArch("toy:16:512")
+	toy, _, err := arch.ParsePreset("toy:16:512")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +72,8 @@ func TestResolveArch(t *testing.T) {
 		t.Error("toy lanes wrong")
 	}
 	for _, bad := range []string{"tpu:1:2", "eyeriss:14:128", "eyeriss:axb:128", "simba:15:44", "toy:16"} {
-		if _, err := resolveArch(bad); err == nil {
-			t.Errorf("resolveArch(%q) succeeded", bad)
+		if _, _, err := arch.ParsePreset(bad); err == nil {
+			t.Errorf("ParsePreset(%q) succeeded", bad)
 		}
 	}
 }
@@ -81,12 +85,12 @@ func TestResolveKind(t *testing.T) {
 		"ruby-t": mapspace.RubyT, "T": mapspace.RubyT,
 	}
 	for s, want := range cases {
-		got, err := resolveKind(s)
+		got, err := mapspace.ParseKind(s)
 		if err != nil || got != want {
-			t.Errorf("resolveKind(%q) = %v, %v", s, got, err)
+			t.Errorf("ParseKind(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := resolveKind("zigzag"); err == nil {
+	if _, err := mapspace.ParseKind("zigzag"); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }
@@ -113,12 +117,12 @@ func TestResolveObjective(t *testing.T) {
 		"energy": search.ObjectiveEnergy,
 		"delay":  search.ObjectiveDelay, "latency": search.ObjectiveDelay,
 	} {
-		got, err := resolveObjective(s)
+		got, err := search.ParseObjective(s)
 		if err != nil || got != want {
-			t.Errorf("resolveObjective(%q) = %v, %v", s, got, err)
+			t.Errorf("ParseObjective(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := resolveObjective("area"); err == nil {
+	if _, err := search.ParseObjective("area"); err == nil {
 		t.Error("unknown objective accepted")
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -47,7 +46,7 @@ import (
 func main() {
 	var (
 		suite    = flag.String("suite", "resnet50", "workload suite (see -list)")
-		archStr  = flag.String("arch", "eyeriss:14x12:128", "eyeriss:COLSxROWS:GLBKiB | simba:PES:UNITSxWIDTH")
+		archStr  = flag.String("arch", "eyeriss:14x12:128", "eyeriss:COLSxROWS:GLBKiB | simba:PES:UNITSxWIDTH | toy:PES:SPADWORDS")
 		archFile = flag.String("arch-file", "", "JSON architecture file (overrides -arch)")
 		kinds    = flag.String("mapspaces", "pfm,ruby-s", "comma-separated mapspace kinds to compare")
 		algo     = flag.String("search", "", "search algorithm per layer: random | guided | hillclimb | anneal | genetic | portfolio | exhaustive (default random)")
@@ -83,28 +82,28 @@ func main() {
 		return
 	}
 
-	net, layers, err := resolveSuite(*suite)
+	net, err := workloads.NetworkNamed(*suite)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%w (try -list)", err))
 	}
+	layers := workloads.LayersOf(net)
 	if *fuse && len(net.Edges) == 0 {
 		fmt.Fprintf(os.Stderr, "rubysuite: suite %q has no fusable edges; -fuse will match the per-layer baseline\n", *suite)
 	}
 
+	// -arch-file arrays get the row-stationary dataflow.
+	dataflow := arch.DataflowRowStationary
 	var a *arch.Arch
 	if *archFile != "" {
 		a, err = config.LoadArch(*archFile)
 	} else {
-		a, err = parseArchSpec(*archStr)
+		a, dataflow, err = arch.ParsePreset(*archStr)
 	}
 	if err != nil {
 		fatal(err)
 	}
 
-	consFn := mapspace.EyerissRowStationary
-	if strings.HasPrefix(*archStr, "simba") {
-		consFn = mapspace.SimbaDataflow
-	}
+	consFn := mapspace.PresetConstraints(dataflow)
 	if *suite == "mobilenetv2" {
 		// Depthwise layers need the channel dimension on both axes.
 		consFn = func(w *workload.Workload) mapspace.Constraints {
@@ -162,7 +161,7 @@ func main() {
 	var fused []*sweep.NetworkResult
 	var names []string
 	for _, ks := range strings.Split(*kinds, ",") {
-		kind, err := parseKind(ks)
+		kind, err := mapspace.ParseKind(ks)
 		if err != nil {
 			fatal(err)
 		}
@@ -231,69 +230,6 @@ func main() {
 		}
 		fmt.Printf("  network EDP %.6g vs per-layer %.6g (%.1f%% better)\n",
 			nr.EDP, nr.Baseline.EDP, 100*stats.Improvement(nr.Baseline.EDP, nr.EDP))
-	}
-}
-
-// resolveSuite finds the named suite as a network graph when one exists,
-// falling back to an edge-free network over the plain layer list.
-func resolveSuite(name string) (*workload.Network, []workloads.Layer, error) {
-	if net, ok := workloads.Networks()[name]; ok {
-		return net, workloads.LayersOf(net), nil
-	}
-	layers, ok := workloads.Suites()[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown suite %q (try -list)", name)
-	}
-	return workloads.NetworkFromLayers(name, layers), layers, nil
-}
-
-func parseArchSpec(s string) (*arch.Arch, error) {
-	parts := strings.Split(strings.ToLower(s), ":")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("bad arch spec %q", s)
-	}
-	switch parts[0] {
-	case "eyeriss":
-		xy := strings.Split(parts[1], "x")
-		if len(xy) != 2 {
-			return nil, fmt.Errorf("bad arch spec %q", s)
-		}
-		cols, e1 := strconv.Atoi(xy[0])
-		rows, e2 := strconv.Atoi(xy[1])
-		glb, e3 := strconv.Atoi(parts[2])
-		if e1 != nil || e2 != nil || e3 != nil {
-			return nil, fmt.Errorf("bad arch spec %q", s)
-		}
-		return arch.EyerissLike(cols, rows, glb), nil
-	case "simba":
-		pes, e1 := strconv.Atoi(parts[1])
-		uv := strings.Split(parts[2], "x")
-		if len(uv) != 2 || e1 != nil {
-			return nil, fmt.Errorf("bad arch spec %q", s)
-		}
-		units, e2 := strconv.Atoi(uv[0])
-		width, e3 := strconv.Atoi(uv[1])
-		if e2 != nil || e3 != nil {
-			return nil, fmt.Errorf("bad arch spec %q", s)
-		}
-		return arch.SimbaLike(pes, units, width), nil
-	default:
-		return nil, fmt.Errorf("bad arch spec %q", s)
-	}
-}
-
-func parseKind(s string) (mapspace.Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "pfm", "perfect":
-		return mapspace.PFM, nil
-	case "ruby":
-		return mapspace.Ruby, nil
-	case "ruby-s", "rubys":
-		return mapspace.RubyS, nil
-	case "ruby-t", "rubyt":
-		return mapspace.RubyT, nil
-	default:
-		return 0, fmt.Errorf("unknown mapspace %q", s)
 	}
 }
 

@@ -2,12 +2,60 @@ package arch
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"ruby/internal/workload"
 )
 
 // Words converts a KiB figure to 16-bit words.
 func Words(kib int) int64 { return int64(kib) * 1024 / 2 }
+
+// Dataflow names the mapspace constraints a preset array is built for;
+// mapspace.PresetConstraints turns it into per-workload constraints.
+type Dataflow uint8
+
+const (
+	// DataflowNone leaves the mapspace unconstrained (toy arrays).
+	DataflowNone Dataflow = iota
+	// DataflowRowStationary is Eyeriss's row-stationary dataflow.
+	DataflowRowStationary
+	// DataflowSimba spreads channels over the Simba-like PEs and lanes.
+	DataflowSimba
+)
+
+// ParsePreset builds a preset architecture from its command-line spelling
+// (case-insensitive) and returns the preset's default dataflow with it:
+//
+//	eyeriss:COLSxROWS:GLBKiB  EyerissLike, row-stationary
+//	simba:PES:UNITSxWIDTH     SimbaLike, Simba dataflow
+//	toy:PES:SPADWORDS         ToyLinear, unconstrained
+func ParsePreset(spec string) (*Arch, Dataflow, error) {
+	// ints parses a field of non-negative integers joined by "x".
+	ints := func(field string) []int {
+		var out []int
+		for _, p := range strings.Split(field, "x") {
+			v, err := strconv.Atoi(p)
+			if err != nil || v < 0 {
+				return nil
+			}
+			out = append(out, v)
+		}
+		return out
+	}
+	if f := strings.Split(strings.ToLower(strings.TrimSpace(spec)), ":"); len(f) == 3 {
+		x, y := ints(f[1]), ints(f[2])
+		switch {
+		case f[0] == "eyeriss" && len(x) == 2 && len(y) == 1:
+			return EyerissLike(x[0], x[1], y[0]), DataflowRowStationary, nil
+		case f[0] == "simba" && len(x) == 1 && len(y) == 2:
+			return SimbaLike(x[0], y[0], y[1]), DataflowSimba, nil
+		case f[0] == "toy" && len(x) == 1 && len(y) == 1:
+			return ToyLinear(x[0], int64(y[0])), DataflowNone, nil
+		}
+	}
+	return nil, 0, fmt.Errorf("bad arch spec %q (want eyeriss:COLSxROWS:GLBKiB, simba:PES:UNITSxWIDTH or toy:PES:SPADWORDS)", spec)
+}
 
 // EyerissLike builds the paper's baseline architecture (Section II-B): a
 // rows x cols grid of PEs, each with dedicated ifmap (depth 12), psum (depth

@@ -8,26 +8,9 @@ import (
 	"io"
 	"net/http"
 
+	"ruby/internal/config"
 	"ruby/internal/nest"
 )
-
-// shardSpec is the wire form of a shard assignment inside a /v1/jobs
-// request ("shard" field; see docs/API.md). chain_lo == chain_hi means no
-// enumeration restriction (substream shards).
-type shardSpec struct {
-	Index   int `json:"index"`
-	ChainLo int `json:"chain_lo"`
-	ChainHi int `json:"chain_hi"`
-}
-
-// jobRequest is the /v1/jobs request body for one shard.
-type jobRequest struct {
-	JobSpec
-	Seed           int64           `json:"seed,omitempty"`
-	MaxEvaluations int64           `json:"max_evaluations,omitempty"`
-	Shard          *shardSpec      `json:"shard,omitempty"`
-	Resume         json.RawMessage `json:"resume,omitempty"`
-}
 
 // JobResult is the result fragment of a finished worker job.
 type JobResult struct {
@@ -100,11 +83,11 @@ func (cl *Client) Healthz(ctx context.Context) error {
 // seeding it from resume (a search snapshot payload) when non-nil, and
 // returns the worker-local job ID.
 func (cl *Client) SubmitShard(ctx context.Context, spec *JobSpec, sh Shard, resume json.RawMessage) (string, error) {
-	body, err := json.Marshal(jobRequest{
-		JobSpec:        *spec,
+	body, err := json.Marshal(config.SearchRequest{
+		Problem:        *spec,
 		Seed:           sh.Seed,
 		MaxEvaluations: sh.MaxEvaluations,
-		Shard:          &shardSpec{Index: sh.Index, ChainLo: sh.Chain.Lo, ChainHi: sh.Chain.Hi},
+		Shard:          &config.ShardSpec{Index: sh.Index, ChainLo: sh.Chain.Lo, ChainHi: sh.Chain.Hi},
 		Resume:         resume,
 	})
 	if err != nil {

@@ -32,97 +32,21 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ruby/internal/config"
 	"ruby/internal/mapspace"
-	"ruby/internal/nest"
 	"ruby/internal/search"
 )
 
 // JobSpec is the problem and base search configuration shipped to every
-// worker, in the /v1 request schema (raw JSON fragments are forwarded
-// verbatim).
-type JobSpec struct {
-	Workload    json.RawMessage `json:"workload"`
-	Arch        json.RawMessage `json:"arch"`
-	Constraints json.RawMessage `json:"constraints,omitempty"`
-	Mapspace    string          `json:"mapspace,omitempty"` // default ruby-s
-	// Search is the algorithm name; must be checkpoint-resumable
-	// (search.ResumableAlgorithms). "" means random.
-	Search    string `json:"search,omitempty"`
-	Objective string `json:"objective,omitempty"` // edp (default), energy, delay
-	// NoImprove is the per-shard consecutive-no-improvement termination
-	// criterion for stochastic searchers (0 = disabled; then the plan's
-	// per-shard evaluation budgets bound the work).
-	NoImprove int64 `json:"no_improve,omitempty"`
-}
-
-// Resolve parses the spec into model objects, mirroring the server's
-// problem resolution so coordinator-side planning and worker-side execution
-// agree on the mapspace.
-func (sp *JobSpec) Resolve() (*nest.Evaluator, *mapspace.Space, error) {
-	if len(sp.Workload) == 0 || len(sp.Arch) == 0 {
-		return nil, nil, fmt.Errorf("dist: workload and arch are required")
-	}
-	w, err := config.ParseWorkload(sp.Workload)
-	if err != nil {
-		return nil, nil, err
-	}
-	a, err := config.ParseArch(sp.Arch)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev, err := nest.NewEvaluator(w, a)
-	if err != nil {
-		return nil, nil, err
-	}
-	cons := mapspace.Constraints{}
-	if len(sp.Constraints) > 0 {
-		cons, err = config.ParseConstraints(sp.Constraints)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	kind, err := ParseKind(sp.Mapspace)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ev, mapspace.New(w, a, kind, cons), nil
-}
-
-// ParseKind resolves a mapspace name using the same spellings the /v1 API
-// accepts ("" and "ruby-s" select Ruby-S).
-func ParseKind(s string) (mapspace.Kind, error) {
-	switch strings.ToLower(s) {
-	case "", "ruby-s", "rubys":
-		return mapspace.RubyS, nil
-	case "pfm", "perfect":
-		return mapspace.PFM, nil
-	case "ruby":
-		return mapspace.Ruby, nil
-	case "ruby-t", "rubyt":
-		return mapspace.RubyT, nil
-	default:
-		return 0, fmt.Errorf("dist: unknown mapspace %q", s)
-	}
-}
-
-// ParseObjective resolves an objective name using the /v1 spellings.
-func ParseObjective(s string) (search.Objective, error) {
-	switch strings.ToLower(s) {
-	case "", "edp":
-		return search.ObjectiveEDP, nil
-	case "energy":
-		return search.ObjectiveEnergy, nil
-	case "delay", "latency":
-		return search.ObjectiveDelay, nil
-	default:
-		return 0, fmt.Errorf("dist: unknown objective %q", s)
-	}
-}
+// worker: the /v1 problem spec (config.Problem), forwarded verbatim. Its
+// Search must be checkpoint-resumable (search.ResumableAlgorithms), and its
+// NoImprove applies per shard (0 = the plan's per-shard evaluation budgets
+// bound the work). Resolve turns it into the evaluator and mapspace.
+type JobSpec = config.Problem
 
 // Plan partition kinds.
 const (
@@ -192,14 +116,7 @@ func BuildPlan(sp *mapspace.Space, algo string, seed int64, n int, maxEvals int6
 	if algo == "" {
 		algo = "random"
 	}
-	resumable := false
-	for _, a := range search.ResumableAlgorithms {
-		if algo == a {
-			resumable = true
-			break
-		}
-	}
-	if !resumable {
+	if !slices.Contains(search.ResumableAlgorithms, algo) {
 		return nil, fmt.Errorf("dist: algorithm %q is not resumable (want one of %s)",
 			algo, strings.Join(search.ResumableAlgorithms, "|"))
 	}

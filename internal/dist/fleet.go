@@ -138,7 +138,7 @@ func (f *Fleet) Run(ctx context.Context) (*Merged, error) {
 	if len(f.Workers) == 0 {
 		return nil, fmt.Errorf("dist: fleet has no workers")
 	}
-	obj, err := ParseObjective(f.Spec.Objective)
+	obj, err := search.ParseObjective(f.Spec.Objective)
 	if err != nil {
 		return nil, err
 	}

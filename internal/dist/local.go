@@ -31,7 +31,7 @@ func RunLocal(ctx context.Context, spec *JobSpec, plan *Plan) (*Merged, error) {
 	if err := plan.Validate(sp); err != nil {
 		return nil, err
 	}
-	obj, err := ParseObjective(spec.Objective)
+	obj, err := search.ParseObjective(spec.Objective)
 	if err != nil {
 		return nil, err
 	}

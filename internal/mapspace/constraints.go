@@ -1,6 +1,22 @@
 package mapspace
 
-import "ruby/internal/workload"
+import (
+	"ruby/internal/arch"
+	"ruby/internal/workload"
+)
+
+// PresetConstraints returns the per-workload constraints of a preset
+// array's default dataflow (arch.ParsePreset).
+func PresetConstraints(df arch.Dataflow) func(*workload.Workload) Constraints {
+	switch df {
+	case arch.DataflowRowStationary:
+		return EyerissRowStationary
+	case arch.DataflowSimba:
+		return SimbaDataflow
+	default:
+		return func(*workload.Workload) Constraints { return Constraints{} }
+	}
+}
 
 // EyerissRowStationary returns the constraint set used for the Eyeriss-like
 // baseline (Section IV-A: "we constrain the mapspace to generate mappings

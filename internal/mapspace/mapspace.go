@@ -18,6 +18,7 @@ package mapspace
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"ruby/internal/arch"
@@ -53,6 +54,25 @@ func (k Kind) String() string {
 
 // Kinds lists all mapspace kinds in presentation order.
 var Kinds = []Kind{PFM, Ruby, RubyS, RubyT}
+
+// ParseKind resolves a mapspace name, ignoring case and surrounding space:
+// the paper's names ("pfm", "ruby", "ruby-s", "ruby-t"), "perfect" for PFM,
+// the unhyphenated and one-letter forms ("rubys", "s", "rubyt", "t"), and ""
+// for the default, Ruby-S. Every CLI flag and /v1 request field naming a
+// mapspace goes through it.
+func ParseKind(name string) (Kind, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "", "ruby-s", "rubys", "s":
+		return RubyS, nil
+	case "pfm", "perfect":
+		return PFM, nil
+	case "ruby":
+		return Ruby, nil
+	case "ruby-t", "rubyt", "t":
+		return RubyT, nil
+	}
+	return 0, fmt.Errorf("unknown mapspace %q (want pfm|ruby|ruby-s|ruby-t)", name)
+}
 
 // imperfectAt reports whether kind k relaxes divisibility at spatial slots.
 func (k Kind) imperfectSpatial() bool { return k == Ruby || k == RubyS }

@@ -212,13 +212,7 @@ func NewGuided(sp *mapspace.Space, eng *engine.Engine, opt Options) *GuidedSearc
 func Guided(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options) *Result {
 	ctx, span := obs.StartSpan(ctx, "search:guided")
 	defer span.End()
-	s := NewGuided(sp, eng, opt)
-	for {
-		done, err := s.Step(ctx)
-		if done || err != nil {
-			return s.Result()
-		}
-	}
+	return stepToDone(ctx, NewGuided(sp, eng, opt))
 }
 
 // Result returns the result so far.

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"strings"
 
 	"ruby/internal/nest"
 )
@@ -21,18 +22,36 @@ const (
 	ObjectiveDelay
 )
 
+// objectiveNames spells each objective: String prints the name and
+// ParseObjective accepts it in any case.
+var objectiveNames = [...]string{ObjectiveEDP: "EDP", ObjectiveEnergy: "energy", ObjectiveDelay: "delay"}
+
 // String names the objective ("EDP", "energy", "delay").
 func (o Objective) String() string {
-	switch o {
-	case ObjectiveEDP:
-		return "EDP"
-	case ObjectiveEnergy:
-		return "energy"
-	case ObjectiveDelay:
-		return "delay"
-	default:
-		return fmt.Sprintf("Objective(%d)", uint8(o))
+	if int(o) < len(objectiveNames) {
+		return objectiveNames[o]
 	}
+	return fmt.Sprintf("Objective(%d)", uint8(o))
+}
+
+// ParseObjective resolves an objective name, ignoring case and surrounding
+// space: a name String prints, "" for the default (EDP), or a delay alias,
+// "latency" or "cycles". Every CLI flag and /v1 request field naming an
+// objective goes through it.
+func ParseObjective(name string) (Objective, error) {
+	switch n := strings.ToLower(strings.TrimSpace(name)); n {
+	case "":
+		return ObjectiveEDP, nil
+	case "latency", "cycles":
+		return ObjectiveDelay, nil
+	default:
+		for o, s := range objectiveNames {
+			if strings.EqualFold(n, s) {
+				return Objective(o), nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("unknown objective %q (want edp|energy|delay)", name)
 }
 
 // Value extracts the objective's metric from a cost.

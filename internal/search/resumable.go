@@ -40,6 +40,16 @@ type Searcher interface {
 	Restore(*checkpoint.SearchState) error
 }
 
+// stepToDone steps s until it finishes or ctx is cancelled and returns its
+// result: the one-shot form of a resumable searcher.
+func stepToDone(ctx context.Context, s Searcher) *Result {
+	for {
+		if done, err := s.Step(ctx); done || err != nil {
+			return s.Result()
+		}
+	}
+}
+
 // ctxErr normalizes the nil-context convention shared with the one-shot
 // entry points.
 func ctxErr(ctx context.Context) error {
@@ -280,13 +290,16 @@ func (s *RandomSearcher) Restore(st *checkpoint.SearchState) error {
 // hill-climber (cancellation and checkpoint granularity).
 const hillClimbChunk = 64
 
-// HillClimbSearcher is the checkpointable form of HillClimb: warm-up random
-// samples seed a greedy local search that accepts strict improvements until
-// patience consecutive proposals fail. All draws come from one serializable
-// RNG, so interrupt/resume replays the exact proposal sequence.
+// HillClimbSearcher is the hill-climb search (HillClimb steps it to
+// completion): warm-up random samples seed a greedy local search that
+// accepts strict improvements until patience consecutive proposals fail.
+// All draws come from one serializable RNG, so interrupt/resume replays the
+// exact proposal sequence.
 //
-// Like the one-shot HillClimb, the climb phase runs on the incremental
-// pipeline (Moves plus the bit-identical delta kernel). The delta session
+// The climb phase runs on the incremental pipeline: moves mutate the
+// incumbent in place (rejections are undone exactly) and neighbors are
+// scored by the delta kernel, which recomputes only the scopes the move
+// touches and is bit-identical to a full evaluation. The delta session
 // is process-local state, not checkpoint state: it is re-seeded from the
 // restored incumbent with one uncounted full evaluation on the first climb
 // step after construction or Restore, so snapshots keep their historical
@@ -316,7 +329,7 @@ type HillClimbSearcher struct {
 
 // NewHillClimb builds a resumable hill-climb search. The warm-up sample
 // count and patience come from opt.Warmup and opt.Patience (zero selects
-// the defaults), exactly as in the one-shot HillClimb.
+// the defaults).
 func NewHillClimb(sp *mapspace.Space, eng *engine.Engine, opt Options) *HillClimbSearcher {
 	opt = opt.withDefaults()
 	requireSharedContext(sp, eng)
@@ -335,7 +348,8 @@ func NewHillClimb(sp *mapspace.Space, eng *engine.Engine, opt Options) *HillClim
 // Result returns the result so far.
 func (s *HillClimbSearcher) Result() *Result { return s.res }
 
-// budgetLeft mirrors HillClimb's budget check (context handled by Step).
+// budgetLeft reports whether the evaluation budget allows another
+// evaluation (the context is checked by Step).
 func (s *HillClimbSearcher) budgetLeft() bool {
 	return s.opt.MaxEvaluations <= 0 || s.res.Evaluated < s.opt.MaxEvaluations
 }
@@ -444,12 +458,16 @@ func (s *HillClimbSearcher) Restore(st *checkpoint.SearchState) error {
 	return restoreBest(st, s.sp, s.res)
 }
 
-// ExhaustiveSearcher is the checkpointable form of the exhaustive scan: the
-// deterministic enumeration is evaluated in parallel batches while
-// incumbents are selected serially in enumeration order (exactly as
-// Exhaustive does), and the enumerator's odometer position is part of the
-// snapshot, so a resumed scan continues where it stopped without re-scanning
-// the prefix.
+// exhaustiveBatch is the number of enumerated mappings evaluated per Step
+// of the exhaustive searcher. Large enough to amortize parallel dispatch,
+// small enough that cancellation and the maxMappings cap stay responsive.
+const exhaustiveBatch = 256
+
+// ExhaustiveSearcher is the exhaustive scan (Exhaustive steps it to
+// completion): the deterministic enumeration is evaluated in parallel
+// batches while incumbents are selected serially in enumeration order, and
+// the enumerator's odometer position is part of the snapshot, so a resumed
+// scan continues where it stopped without re-scanning the prefix.
 type ExhaustiveSearcher struct {
 	sp          *mapspace.Space
 	eng         *engine.Engine

@@ -127,15 +127,6 @@ func (r *Result) BestEDPAt(n int64) (float64, bool) {
 	return best, ok
 }
 
-// finishSearch reports the search-level metrics every one-shot searcher
-// shares: the final best objective (when one exists) and the wall time.
-func finishSearch(met engine.Metrics, opt Options, res *Result, start time.Time) {
-	if res.Best != nil {
-		met.BestObjective(opt.Objective.Value(&res.BestCost))
-	}
-	met.SearchDone(time.Since(start), res.Evaluated, res.Valid)
-}
-
 // shared is the cross-worker search state.
 type shared struct {
 	//ruby:guards best,bestCost,trace,valid
@@ -237,72 +228,25 @@ func Random(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Opt
 
 	res := &Result{Best: st.best, BestCost: st.bestCost, Valid: st.valid, Trace: st.trace}
 	res.Evaluated = st.evaluated.Load()
-	finishSearch(met, opt, res, start)
+	if res.Best != nil {
+		met.BestObjective(opt.Objective.Value(&res.BestCost))
+	}
+	met.SearchDone(time.Since(start), res.Evaluated, res.Valid)
 	return res
 }
-
-// exhaustiveBatch is the number of enumerated mappings evaluated per
-// parallel batch. Large enough to amortize dispatch, small enough that
-// cancellation and the maxMappings cap stay responsive.
-const exhaustiveBatch = 256
 
 // Exhaustive enumerates the tiling mapspace in deterministic order (with
 // canonical loop orders), up to maxMappings (0 = all; only feasible for toy
 // problems), evaluating batches in parallel through eng and minimizing
-// opt.Objective. Results are identical to a serial scan: batches preserve
-// enumeration order and the incumbent only changes on strict improvement.
-// Cancelling ctx stops the scan, returning the best mapping found so far.
+// opt.Objective. A non-empty opt.Shard confines the scan to that
+// leading-dimension chain range. Results are identical to a serial scan:
+// batches preserve enumeration order and the incumbent only changes on
+// strict improvement. Cancelling ctx stops the scan, returning the best
+// mapping found so far. It is NewExhaustive stepped to completion.
 func Exhaustive(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options, maxMappings int64) *Result {
 	ctx, span := obs.StartSpan(ctx, "search:exhaustive")
 	defer span.End()
-	res := &Result{}
-	met := eng.Metrics()
-	start := time.Now()
-
-	batch := make([]*mapping.Mapping, 0, exhaustiveBatch)
-	cancelled := false
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		costs := eng.EvaluateBatch(ctx, batch)
-		for i := range costs {
-			c := costs[i]
-			if engine.Cancelled(&c) {
-				cancelled = true
-				break
-			}
-			res.Evaluated++
-			if c.Valid {
-				res.Valid++
-				if res.Best == nil || opt.Objective.Value(&c) < opt.Objective.Value(&res.BestCost) {
-					res.Best = batch[i].Clone()
-					res.BestCost = c
-					res.Trace = append(res.Trace, TracePoint{Evals: res.Evaluated, Value: opt.Objective.Value(&c)})
-					met.Improvement(res.Evaluated, opt.Objective.Value(&c))
-				}
-			}
-		}
-		batch = batch[:0]
-		return !cancelled
-	}
-
-	taken := int64(0)
-	sp.Enumerate(func(m *mapping.Mapping) bool {
-		batch = append(batch, m)
-		taken++
-		if maxMappings > 0 && taken >= maxMappings {
-			flush()
-			return false
-		}
-		if len(batch) >= exhaustiveBatch {
-			return flush()
-		}
-		return true
-	})
-	flush()
-	finishSearch(met, opt, res, start)
-	return res
+	return stepToDone(ctx, NewExhaustive(sp, eng, opt, maxMappings))
 }
 
 // HillClimb seeds a greedy local search with the best of opt.Warmup random
@@ -311,78 +255,13 @@ func Exhaustive(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt
 // bypass bit — accepting strict improvements, until opt.Patience
 // consecutive proposals fail (or opt.MaxEvaluations is exhausted, or ctx is
 // cancelled). It demonstrates that Ruby-style mapspaces compose with search
-// strategies beyond random sampling.
-//
-// The climb phase runs on the incremental pipeline: moves mutate the
-// incumbent in place (rejections are undone exactly) and neighbors are
-// scored by the delta kernel, which recomputes only the scopes the move
-// touches and is bit-identical to a full evaluation — trajectories,
-// evaluation counts and results match the historical clone-and-reevaluate
-// implementation draw for draw.
+// strategies beyond random sampling. It is NewHillClimb stepped to
+// completion, so it draws from the serializable checkpoint RNG and a run
+// matches its resumable twin draw for draw.
 func HillClimb(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options) *Result {
-	opt = opt.withDefaults()
-	_, span := obs.StartSpan(ctx, "search:hillclimb")
+	ctx, span := obs.StartSpan(ctx, "search:hillclimb")
 	defer span.End()
-	rng := rand.New(rand.NewSource(opt.Seed))
-	res := &Result{}
-	met := eng.Metrics()
-	start := time.Now()
-	budgetLeft := func() bool {
-		if ctx != nil && ctx.Err() != nil {
-			return false
-		}
-		return opt.MaxEvaluations <= 0 || res.Evaluated < opt.MaxEvaluations
-	}
-
-	wk := eng.NewWorker()
-	smp := sp.NewSampler()
-	m := &mapping.Mapping{}
-	for i := 0; i < opt.Warmup && budgetLeft(); i++ {
-		res.Evaluated++
-		smp.SampleInto(rng, m)
-		c := wk.Evaluate(m)
-		if c.Valid {
-			res.Valid++
-			if res.Best == nil || opt.Objective.Value(&c) < opt.Objective.Value(&res.BestCost) {
-				res.Best, res.BestCost = m.Clone(), c
-				res.Trace = append(res.Trace, TracePoint{Evals: res.Evaluated, Value: opt.Objective.Value(&c)})
-				met.Improvement(res.Evaluated, opt.Objective.Value(&c))
-			}
-		}
-	}
-	if res.Best == nil {
-		finishSearch(met, opt, res, start)
-		return res
-	}
-
-	requireSharedContext(sp, eng)
-	mut := sp.NewMutator()
-	dw := eng.NewDelta()
-	cur := res.Best.Clone()
-	dw.Seed(cur) // uncounted: the incumbent was already evaluated in warmup
-	fails := 0
-	for fails < opt.Patience && budgetLeft() {
-		mv := mut.Propose(rng)
-		mv.Apply(cur)
-		res.Evaluated++
-		c := dw.Evaluate(mv.Delta())
-		if c.Valid {
-			res.Valid++
-			if opt.Objective.Value(&c) < opt.Objective.Value(&res.BestCost) {
-				dw.Commit()
-				res.Best, res.BestCost = cur.Clone(), c.Clone()
-				res.Trace = append(res.Trace, TracePoint{Evals: res.Evaluated, Value: opt.Objective.Value(&c)})
-				met.Improvement(res.Evaluated, opt.Objective.Value(&c))
-				fails = 0
-				continue
-			}
-		}
-		dw.Reject()
-		mv.Undo(cur)
-		fails++
-	}
-	finishSearch(met, opt, res, start)
-	return res
+	return stepToDone(ctx, NewHillClimb(sp, eng, opt))
 }
 
 // requireSharedContext asserts that the mapspace and the engine's evaluator

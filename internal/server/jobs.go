@@ -10,12 +10,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"ruby/internal/checkpoint"
+	"ruby/internal/config"
 	"ruby/internal/engine"
 	"ruby/internal/mapspace"
 	"ruby/internal/obs"
@@ -107,11 +109,11 @@ func (s *Service) Shutdown(ctx context.Context) error { return s.jobs.shutdown(c
 //
 //ruby:serialstable
 type jobRecord struct {
-	ID          string        `json:"id"`
-	Status      string        `json:"status"`
-	Request     searchRequest `json:"request"`
-	SubmittedAt time.Time     `json:"submitted_at"`
-	FinishedAt  *time.Time    `json:"finished_at,omitempty"`
+	ID          string               `json:"id"`
+	Status      string               `json:"status"`
+	Request     config.SearchRequest `json:"request"`
+	SubmittedAt time.Time            `json:"submitted_at"`
+	FinishedAt  *time.Time           `json:"finished_at,omitempty"`
 	// Result is set for done jobs; Error for failed ones.
 	Result *searchResponse `json:"result,omitempty"`
 	Error  string          `json:"error,omitempty"`
@@ -212,18 +214,18 @@ func (s *service) resolveJobSearch(name string) (string, error) {
 	if name == "" {
 		return "", nil
 	}
-	for _, a := range search.ResumableAlgorithms {
-		if name == a {
-			return name, nil
-		}
+	if slices.Contains(search.ResumableAlgorithms, name) {
+		return name, nil
 	}
 	return "", fmt.Errorf("server: job search %q is not resumable (want one of %s)",
 		name, strings.Join(search.ResumableAlgorithms, "|"))
 }
 
 // submit registers and starts a new job; the request's algorithm has been
-// resolved and validated by the handler.
-func (jm *jobManager) submit(req searchRequest) (*jobRecord, error) {
+// resolved and validated by the handler. It returns a copy of the record
+// taken under the lock, as get does: the job's goroutine may update the
+// record as soon as the lock is released.
+func (jm *jobManager) submit(req config.SearchRequest) (*jobRecord, error) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	if jm.draining {
@@ -242,7 +244,8 @@ func (jm *jobManager) submit(req searchRequest) (*jobRecord, error) {
 		return nil, err
 	}
 	jm.startLocked(rec)
-	return rec, nil
+	c := *rec
+	return &c, nil
 }
 
 // startLocked launches the worker goroutine; jm.mu must be held.
@@ -279,12 +282,12 @@ func (jm *jobManager) run(id string) {
 		_ = jm.persistLocked(rec)
 	}
 
-	ev, sp, err := req.resolve()
+	ev, sp, err := req.Resolve()
 	if err != nil {
 		finish(JobFailed, nil, err)
 		return
 	}
-	obj, err := parseObjective(req.Objective)
+	obj, err := search.ParseObjective(req.Objective)
 	if err != nil {
 		finish(JobFailed, nil, err)
 		return
@@ -429,17 +432,17 @@ func (jm *jobManager) get(id string) (*jobRecord, bool) {
 }
 
 func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var req searchRequest
+	var req config.SearchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, CodeInvalidRequest, err)
 		return
 	}
 	// Fail malformed problems fast, before accepting the job.
-	if _, _, err := req.resolve(); err != nil {
+	if _, _, err := req.Resolve(); err != nil {
 		writeErr(w, CodeInvalidRequest, err)
 		return
 	}
-	if _, err := parseObjective(req.Objective); err != nil {
+	if _, err := search.ParseObjective(req.Objective); err != nil {
 		writeErr(w, CodeInvalidRequest, err)
 		return
 	}

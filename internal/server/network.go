@@ -80,14 +80,10 @@ func (s *service) handleNetwork(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, CodeInvalidRequest, err)
 		return
 	}
-	net, ok := workloads.Networks()[req.Network]
-	if !ok {
-		if layers, found := workloads.Suites()[req.Network]; found {
-			net = workloads.NetworkFromLayers(req.Network, layers)
-		} else {
-			writeErr(w, CodeInvalidRequest, fmt.Errorf("unknown network %q (GET /v1/suites lists them)", req.Network))
-			return
-		}
+	net, err := workloads.NetworkNamed(req.Network)
+	if err != nil {
+		writeErr(w, CodeInvalidRequest, fmt.Errorf("%w (GET /v1/suites lists them)", err))
+		return
 	}
 	if len(req.Arch) == 0 {
 		writeErr(w, CodeInvalidRequest, fmt.Errorf("arch is required"))
@@ -98,12 +94,12 @@ func (s *service) handleNetwork(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, CodeInvalidRequest, err)
 		return
 	}
-	kind, err := parseKind(req.Mapspace)
+	kind, err := mapspace.ParseKind(req.Mapspace)
 	if err != nil {
 		writeErr(w, CodeInvalidRequest, err)
 		return
 	}
-	obj, err := parseObjective(req.Objective)
+	obj, err := search.ParseObjective(req.Objective)
 	if err != nil {
 		writeErr(w, CodeInvalidRequest, err)
 		return

@@ -57,7 +57,6 @@ import (
 	"ruby/internal/exp"
 	"ruby/internal/heuristic"
 	"ruby/internal/mapping"
-	"ruby/internal/mapspace"
 	"ruby/internal/nest"
 	"ruby/internal/obs"
 	"ruby/internal/search"
@@ -223,73 +222,6 @@ func (s *service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.ins.Counters.Snapshot())
 }
 
-// problemSpec is the common workload+architecture request fragment.
-type problemSpec struct {
-	Workload    json.RawMessage `json:"workload"`
-	Arch        json.RawMessage `json:"arch"`
-	Constraints json.RawMessage `json:"constraints,omitempty"`
-	Mapspace    string          `json:"mapspace,omitempty"` // default ruby-s
-}
-
-// resolve parses the fragment into model objects.
-func (p *problemSpec) resolve() (*nest.Evaluator, *mapspace.Space, error) {
-	if len(p.Workload) == 0 || len(p.Arch) == 0 {
-		return nil, nil, fmt.Errorf("workload and arch are required")
-	}
-	w, err := config.ParseWorkload(p.Workload)
-	if err != nil {
-		return nil, nil, err
-	}
-	a, err := config.ParseArch(p.Arch)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev, err := nest.NewEvaluator(w, a)
-	if err != nil {
-		return nil, nil, err
-	}
-	cons := mapspace.Constraints{}
-	if len(p.Constraints) > 0 {
-		cons, err = config.ParseConstraints(p.Constraints)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	kind, err := parseKind(p.Mapspace)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ev, mapspace.New(w, a, kind, cons), nil
-}
-
-func parseKind(s string) (mapspace.Kind, error) {
-	switch strings.ToLower(s) {
-	case "", "ruby-s", "rubys":
-		return mapspace.RubyS, nil
-	case "pfm", "perfect":
-		return mapspace.PFM, nil
-	case "ruby":
-		return mapspace.Ruby, nil
-	case "ruby-t", "rubyt":
-		return mapspace.RubyT, nil
-	default:
-		return 0, fmt.Errorf("unknown mapspace %q", s)
-	}
-}
-
-func parseObjective(s string) (search.Objective, error) {
-	switch strings.ToLower(s) {
-	case "", "edp":
-		return search.ObjectiveEDP, nil
-	case "energy":
-		return search.ObjectiveEnergy, nil
-	case "delay", "latency":
-		return search.ObjectiveDelay, nil
-	default:
-		return 0, fmt.Errorf("unknown objective %q", s)
-	}
-}
-
 // mappingResult is the common response fragment.
 type mappingResult struct {
 	Mapping  *mapping.Mapping `json:"mapping"`
@@ -298,7 +230,7 @@ type mappingResult struct {
 }
 
 type evaluateRequest struct {
-	problemSpec
+	config.Problem
 	Mapping json.RawMessage `json:"mapping"`
 }
 
@@ -308,7 +240,7 @@ func (s *service) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, CodeInvalidRequest, err)
 		return
 	}
-	ev, sp, err := req.resolve()
+	ev, sp, err := req.Resolve()
 	if err != nil {
 		writeErr(w, CodeInvalidRequest, err)
 		return
@@ -326,42 +258,6 @@ func (s *service) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, mappingResult{Mapping: m, Cost: c, LoopNest: m.Render(ev.Work, ev.Arch)})
 }
 
-// shardSpec assigns a distributed-coordination shard to an async job (the
-// "shard" field; docs/DISTRIBUTED.md). chain_lo == chain_hi means no
-// enumeration restriction — the shard's identity is then the seed (RNG
-// substream); otherwise the exhaustive scan is confined to leading-dimension
-// chain indices [chain_lo, chain_hi).
-type shardSpec struct {
-	Index   int `json:"index"`
-	ChainLo int `json:"chain_lo"`
-	ChainHi int `json:"chain_hi"`
-}
-
-type searchRequest struct {
-	problemSpec
-	// Search selects the algorithm (search.Algorithms; "" = random).
-	Search         string `json:"search,omitempty"`
-	Seed           int64  `json:"seed,omitempty"`
-	Threads        int    `json:"threads,omitempty"`
-	MaxEvaluations int64  `json:"max_evaluations,omitempty"`
-	NoImprove      int64  `json:"no_improve,omitempty"`
-	Objective      string `json:"objective,omitempty"`
-	// TimeoutMS bounds the search's wall time; on expiry the best mapping
-	// found so far is returned (or 504 when none was found yet).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Shard marks the request as one shard of a coordinated distributed
-	// search. Jobs only: the synchronous /v1/search rejects it. A shard
-	// job is exact — no default evaluation cap is applied, and a shard
-	// whose range holds no valid mapping completes "done" with a null
-	// mapping instead of failing.
-	Shard *shardSpec `json:"shard,omitempty"`
-	// Resume seeds the job from a caller-held search snapshot (the
-	// checkpoint SearchState payload), used by the coordinator when
-	// re-queuing a shard whose original worker died. A local checkpoint
-	// file in the state directory takes precedence. Jobs only.
-	Resume json.RawMessage `json:"resume,omitempty"`
-}
-
 type searchResponse struct {
 	mappingResult
 	Evaluated int64 `json:"evaluated"`
@@ -370,7 +266,7 @@ type searchResponse struct {
 }
 
 func (s *service) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req searchRequest
+	var req config.SearchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, CodeInvalidRequest, err)
 		return
@@ -379,12 +275,12 @@ func (s *service) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, CodeInvalidRequest, fmt.Errorf("shard and resume are job-only fields (POST /v1/jobs)"))
 		return
 	}
-	ev, sp, err := req.resolve()
+	ev, sp, err := req.Resolve()
 	if err != nil {
 		writeErr(w, CodeInvalidRequest, err)
 		return
 	}
-	obj, err := parseObjective(req.Objective)
+	obj, err := search.ParseObjective(req.Objective)
 	if err != nil {
 		writeErr(w, CodeInvalidRequest, err)
 		return
@@ -438,12 +334,12 @@ func (s *service) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 func handleConstruct(w http.ResponseWriter, r *http.Request) {
-	var req problemSpec
+	var req config.Problem
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, CodeInvalidRequest, err)
 		return
 	}
-	ev, sp, err := req.resolve()
+	ev, sp, err := req.Resolve()
 	if err != nil {
 		writeErr(w, CodeInvalidRequest, err)
 		return

@@ -1,6 +1,10 @@
 package workloads
 
-import "ruby/internal/workload"
+import (
+	"fmt"
+
+	"ruby/internal/workload"
+)
 
 // This file hosts the workload.Network constructors: the suite layer tables
 // of workloads.go lifted into producer/consumer graphs. The []Layer entry
@@ -154,6 +158,19 @@ func Networks() map[string]*workload.Network {
 		"transformer":      NetworkFromLayers("transformer", TransformerEncoder(384, 768, 12)),
 		"mobilenetv2":      NetworkFromLayers("mobilenetv2", MobileNetV2()),
 	}
+}
+
+// NetworkNamed looks up a built-in network graph by name (Networks),
+// falling back to an edge-free graph over the suite of that name (Suites).
+// Every entry point that takes a network or suite name goes through it.
+func NetworkNamed(name string) (*workload.Network, error) {
+	if net, ok := Networks()[name]; ok {
+		return net, nil
+	}
+	if layers, ok := Suites()[name]; ok {
+		return NetworkFromLayers(name, layers), nil
+	}
+	return nil, fmt.Errorf("unknown network %q", name)
 }
 
 // VGG16Network returns VGG-16 as a workload graph with the back-to-back

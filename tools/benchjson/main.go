@@ -12,6 +12,11 @@
 // the form Name:metric instead compares the named custom b.ReportMetric
 // value (e.g. BenchmarkGuidedConverge:convergence_evals) under the same
 // tolerance — how the guided mapper's evals-to-convergence is held flat.
+//
+// Repeated runs of one benchmark (go test -count N) fold into one entry:
+// the fastest ns/op, and the highest B/op, allocs/op and custom metrics. So
+// the ns/op gate reads the best of N samples, which a busy host perturbs
+// less, while the allocation and metric gates stay strict.
 package main
 
 import (
@@ -19,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"strconv"
 	"strings"
@@ -70,6 +76,7 @@ func main() {
 	if len(entries) == 0 {
 		fatalf("benchjson: no benchmark lines seen")
 	}
+	entries = fold(entries)
 
 	if *out != "" {
 		data, err := json.MarshalIndent(entries, "", "  ")
@@ -203,6 +210,38 @@ func checkGate(entries []Entry, base map[string]Entry, specs []string, tolerance
 		}
 	}
 	return failures
+}
+
+// fold merges repeated runs of a benchmark into one entry per name, in
+// first-seen order: the fastest ns/op (with that run's iteration count),
+// and the highest B/op, allocs/op and custom metric values.
+func fold(entries []Entry) []Entry {
+	var out []Entry
+	index := make(map[string]int)
+	for _, e := range entries {
+		i, seen := index[e.Name]
+		if !seen {
+			index[e.Name] = len(out)
+			e.Extra = maps.Clone(e.Extra)
+			out = append(out, e)
+			continue
+		}
+		f := &out[i]
+		if e.NsPerOp < f.NsPerOp {
+			f.NsPerOp, f.Iterations = e.NsPerOp, e.Iterations
+		}
+		f.BytesPerOp = max(f.BytesPerOp, e.BytesPerOp)
+		f.AllocsPerOp = max(f.AllocsPerOp, e.AllocsPerOp)
+		for unit, v := range e.Extra {
+			if cur, ok := f.Extra[unit]; !ok || v > cur {
+				if f.Extra == nil {
+					f.Extra = make(map[string]float64)
+				}
+				f.Extra[unit] = v
+			}
+		}
+	}
+	return out
 }
 
 // parseLine parses one `go test -bench` result line, e.g.
