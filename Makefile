@@ -23,9 +23,12 @@ race-obs:
 
 # Distributed-determinism gate: the multi-worker integration tests (3-worker
 # fleet vs single-node reference, deterministic mid-shard worker kill,
-# kill-then-resume from a persisted plan state) under the race detector.
+# kill-then-resume from a persisted plan state, long-poll reaction, workers
+# without long-poll, no request left in flight) under the race detector,
+# three times over: the fleet runs one goroutine per worker, so its faults
+# depend on scheduling.
 race-dist:
-	$(GO) test -race ./internal/dist/...
+	$(GO) test -race -count=3 ./internal/dist/...
 
 # Evaluation-kernel microbenchmarks (compiled plan vs legacy, engine cache,
 # sampler pipeline, delta-evaluation neighbor steps, cost attribution and

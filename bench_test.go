@@ -545,7 +545,7 @@ func BenchmarkGeneticSearch(b *testing.B) {
 	ev := nest.MustEvaluator(w, a)
 	sp := mapspace.New(w, a, mapspace.RubyS, mapspace.Constraints{FixedPerms: true})
 	for i := 0; i < b.N; i++ {
-		search.Genetic(sp, ev, search.GeneticOptions{Seed: int64(i), Population: 32, Generations: 10})
+		search.Genetic(context.Background(), sp, ev, search.GeneticOptions{Seed: int64(i), Population: 32, Generations: 10})
 	}
 }
 
@@ -557,7 +557,7 @@ func BenchmarkAnnealSearch(b *testing.B) {
 	ev := nest.MustEvaluator(w, a)
 	sp := mapspace.New(w, a, mapspace.RubyS, mapspace.Constraints{FixedPerms: true})
 	for i := 0; i < b.N; i++ {
-		search.Anneal(sp, ev, search.AnnealOptions{Seed: int64(i), Steps: 1000, Warmup: 50})
+		search.Anneal(context.Background(), sp, ev, search.AnnealOptions{Seed: int64(i), Steps: 1000, Warmup: 50})
 	}
 }
 

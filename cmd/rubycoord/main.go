@@ -59,10 +59,10 @@ func main() {
 		evals    = flag.Int64("evals", 0, "total evaluation budget, split across shards (required for substream plans; 0 = full scan, exhaustive only)")
 		noImp    = flag.Int64("no-improve", 0, "per-shard consecutive-no-improvement stop (stochastic searchers; 0 = off)")
 		workers  = flag.String("workers", "", "comma-separated worker base URLs, e.g. http://127.0.0.1:8731,http://127.0.0.1:8732")
-		state    = flag.String("state", "", "coordinator state file; persisted every poll tick so an interrupted run can -resume (empty = in-memory only)")
+		state    = flag.String("state", "", "coordinator state file; persisted every poll tick and on every shard completion or failure, so an interrupted run can -resume (empty = in-memory only)")
 		resume   = flag.Bool("resume", false, "continue from the plan state in -state (finished shards are not re-run)")
 		leaseTTL = flag.Duration("lease", dist.DefaultLeaseTTL, "shard lease TTL; a worker silent for this long has its shard re-queued")
-		poll     = flag.Duration("poll", 200*time.Millisecond, "fleet poll interval (doubles as the lease heartbeat period)")
+		poll     = flag.Duration("poll", 200*time.Millisecond, "fleet poll interval: the job long-poll wait (the lease heartbeat) and the idle and dead-worker retry period; a finished shard is seen at once, not on this tick")
 		addr     = flag.String("addr", "", "serve the read-only status API (/v1/shards, /v1/metrics) on this address (empty = off)")
 		local    = flag.Bool("local", false, "run the single-node reference execution in-process instead of a fleet (no workers needed)")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this wall time (0 = none)")

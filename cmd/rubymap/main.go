@@ -305,13 +305,13 @@ func runOneShot(ctx context.Context, searcher string, sp *mapspace.Space, eng *e
 
 	switch searcher {
 	case "genetic":
-		return search.Genetic(sp, ev, search.GeneticOptions{Seed: seed, Objective: obj})
+		return search.Genetic(ctx, sp, ev, search.GeneticOptions{Seed: seed, Objective: obj})
 	case "anneal":
 		steps := int(evals)
 		if steps <= 0 {
 			steps = 20000
 		}
-		return search.Anneal(sp, ev, search.AnnealOptions{Seed: seed, Steps: steps, Objective: obj})
+		return search.Anneal(ctx, sp, ev, search.AnnealOptions{Seed: seed, Steps: steps, Objective: obj})
 	case "heuristic":
 		m, c, err := heuristic.Construct(ev, k, cons)
 		if err != nil {

@@ -16,8 +16,9 @@
 // Asynchronous jobs (POST /v1/jobs) are fault tolerant when -state DIR is
 // set: job records and periodic search checkpoints live in DIR, so a restart
 // re-lists finished jobs and resumes interrupted ones with results identical
-// to an uninterrupted run. On SIGINT/SIGTERM the server stops accepting
-// work, drains running jobs to their checkpoints, and exits cleanly.
+// to an uninterrupted run. On SIGINT/SIGTERM the server refuses new jobs,
+// drains running jobs to their checkpoints (releasing job long-polls as
+// "interrupted"), stops accepting requests, and exits cleanly.
 //
 // Observability: GET /v1/metrics serves the Prometheus text exposition to
 // clients sending Accept: text/plain (JSON counters otherwise, see
@@ -89,13 +90,16 @@ func main() {
 		log.Printf("rubyserve: shutting down (draining jobs, timeout %v)", *drainTO)
 		dctx, cancel := context.WithTimeout(context.Background(), *drainTO)
 		defer cancel()
-		// Stop accepting requests first, then park running jobs in their
-		// checkpoints so the next -state run resumes them.
-		if err := srv.Shutdown(dctx); err != nil {
-			log.Printf("rubyserve: http shutdown: %v", err)
-		}
+		// Park running jobs in their checkpoints first, so the next -state
+		// run resumes them: the drain already refuses new submissions, and
+		// it releases the GET /v1/jobs/{id}?wait_ms=N long-polls (they
+		// report "interrupted"), which the HTTP shutdown below would
+		// otherwise wait out.
 		if err := svc.Shutdown(dctx); err != nil {
 			log.Printf("rubyserve: job drain: %v", err)
+		}
+		if err := srv.Shutdown(dctx); err != nil {
+			log.Printf("rubyserve: http shutdown: %v", err)
 		}
 	}()
 	log.Printf("rubyserve listening on %s", *addr)

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"time"
 
 	"ruby/internal/config"
 	"ruby/internal/nest"
@@ -58,6 +60,14 @@ func apiErr(resp *http.Response) error {
 	return fmt.Errorf("dist: worker %s: HTTP %d", resp.Request.URL.Host, resp.StatusCode)
 }
 
+// drain reads a response body to its end and closes it. Reaching EOF lets
+// the transport reuse the connection, and it orders the call after the
+// worker's handler has returned: the server writes a body's end only then.
+func drain(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, 1<<16))
+	body.Close()
+}
+
 func (cl *Client) get(ctx context.Context, path string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.Base+path, nil)
 	if err != nil {
@@ -72,7 +82,7 @@ func (cl *Client) Healthz(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drain(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return apiErr(resp)
 	}
@@ -102,7 +112,7 @@ func (cl *Client) SubmitShard(ctx context.Context, spec *JobSpec, sh Shard, resu
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer drain(resp.Body)
 	if resp.StatusCode != http.StatusAccepted {
 		return "", apiErr(resp)
 	}
@@ -118,13 +128,20 @@ func (cl *Client) SubmitShard(ctx context.Context, spec *JobSpec, sh Shard, resu
 	return out.ID, nil
 }
 
-// Job fetches a job's status record.
-func (cl *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
-	resp, err := cl.get(ctx, "/v1/jobs/"+id)
+// Job fetches a job's status record. A positive wait long-polls: the worker
+// holds its reply until the job leaves "running" or wait passes (whole
+// milliseconds; a worker that predates the wait_ms parameter replies at
+// once).
+func (cl *Client) Job(ctx context.Context, id string, wait time.Duration) (*JobStatus, error) {
+	path := "/v1/jobs/" + id
+	if ms := wait.Milliseconds(); ms > 0 {
+		path += "?wait_ms=" + strconv.FormatInt(ms, 10)
+	}
+	resp, err := cl.get(ctx, path)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drain(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, apiErr(resp)
 	}
@@ -143,7 +160,7 @@ func (cl *Client) JobCheckpoint(ctx context.Context, id string) (json.RawMessage
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drain(resp.Body)
 	if resp.StatusCode == http.StatusNotFound {
 		return nil, nil
 	}

@@ -13,13 +13,17 @@ import (
 )
 
 // Fleet drives one Coordinator against rubyserve workers over the /v1 jobs
-// API. The loop is a single goroutine: each tick expires stale leases,
-// hands pending shards to idle workers, polls running jobs (the poll doubles
-// as the lease heartbeat and collects worker-side checkpoints), re-queues
-// shards of unreachable workers, and periodically persists the coordinator
-// state. Because every shard's result is deterministic, the fleet's merged
-// outcome does not depend on which worker ran what, or how often shards
-// were re-queued.
+// API. Each worker runs its own loop on its own goroutine: lease a shard,
+// submit it as a job, then long-poll the job (GET /v1/jobs/{id}?wait_ms=N
+// with N = PollInterval). A long-poll that finds the job running is the
+// lease heartbeat and collects the worker-side checkpoint; one that finds
+// it done completes the shard, and the worker leases its next shard in the
+// same step. Unreachable workers have their shard re-queued and are probed
+// until they revive. Run's own goroutine expires stale leases, applies the
+// poison-shard and dead-fleet guards and persists the coordinator state on
+// every PollInterval tick and on every shard completion or failure. Because
+// every shard's result is deterministic, the fleet's merged outcome does
+// not depend on which worker ran what, or how often shards were re-queued.
 type Fleet struct {
 	Coord *Coordinator
 	// Spec is the problem and base search configuration shipped with every
@@ -29,11 +33,15 @@ type Fleet struct {
 	Workers []string
 	// HTTP is the shared transport (nil = http.DefaultClient).
 	HTTP *http.Client
-	// PollInterval is the tick period (default 200ms). Keep it well below
-	// the coordinator's lease TTL: polls are the heartbeat.
+	// PollInterval (default 200ms) bounds the heartbeat: it is the longest
+	// a job long-poll waits, and the retry period of idle and dead workers
+	// and of the lease, guard and persistence tick. A finished shard is
+	// seen as soon as it finishes, not at the next tick. Keep it well below
+	// the coordinator's lease TTL: long-poll returns are the heartbeat.
 	PollInterval time.Duration
 	// StatePath, when set, persists the coordinator state (checkpoint kind
-	// "shards") every tick, so an interrupted run resumes with -resume.
+	// "shards") every tick and on every shard completion or failure, so an
+	// interrupted run resumes with -resume.
 	StatePath string
 	// MaxRequeues aborts the run when any single shard has been re-queued
 	// this many times (default 8) — a shard that fails on every worker is
@@ -45,8 +53,8 @@ type Fleet struct {
 	// Log receives fleet events (nil = slog.Default()).
 	Log *slog.Logger
 
-	// mu guards the live worker table, which the run loop mutates and the
-	// ruby_fleet_workers gauge closure reads at exposition time.
+	// mu guards the live worker table, whose states the worker loops
+	// mutate and Run and the ruby_fleet_workers gauge closure read.
 	//ruby:guards workers
 	mu      sync.Mutex
 	workers []*fleetWorker
@@ -59,7 +67,8 @@ const (
 	workerDead = "dead"
 )
 
-// fleetWorker is the fleet's view of one worker.
+// fleetWorker is the fleet's view of one worker. Only state is shared (under
+// Fleet.mu); shard and jobID belong to the worker's own loop.
 type fleetWorker struct {
 	name   string
 	client *Client
@@ -130,7 +139,8 @@ func (f *Fleet) RegisterWorkers(reg *obs.Registry) {
 // Run coordinates the plan to completion and returns the merged result. On
 // context cancellation it persists the coordinator state (when StatePath is
 // set) and returns the merge-so-far with the context's error, so a resumed
-// run picks up the finished shards.
+// run picks up the finished shards. Run joins every worker loop before it
+// returns, so no request to a worker is left in flight.
 func (f *Fleet) Run(ctx context.Context) (*Merged, error) {
 	ctx, span := obs.StartSpan(ctx, "fleet:run")
 	defer span.End()
@@ -155,29 +165,62 @@ func (f *Fleet) Run(ctx context.Context) (*Merged, error) {
 	workers := f.workers
 	f.mu.Unlock()
 
+	// Stopping is two-phase. Cancelling stepCtx makes each loop exit before
+	// its next step but lets the request in flight finish (a long-poll ends
+	// within PollInterval), so no handler is left running on a worker;
+	// cancelling reqCtx then cuts any request that outlives that grace.
+	stepCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	reqCtx, abort := context.WithCancel(context.WithoutCancel(ctx))
+	defer abort()
+	wake := make(chan struct{}, 1)
+	exited := make(chan struct{}, len(workers))
+	for _, w := range workers {
+		go func() {
+			defer func() { exited <- struct{}{} }()
+			f.workerLoop(stepCtx, reqCtx, w, obj, wake)
+		}()
+	}
+
+	err = f.supervise(ctx, workers, wake)
+	stop()
+	grace := time.NewTimer(2 * f.poll())
+	defer grace.Stop()
+	for n := 0; n < len(workers); {
+		select {
+		case <-exited:
+			n++
+		case <-grace.C:
+			abort()
+		}
+	}
+	f.persist()
+	return f.Coord.Merged(), err
+}
+
+// supervise runs the fleet-wide duties until the plan is done, ctx ends or
+// a guard gives up: it expires stale leases, applies the poison-shard and
+// dead-fleet guards and persists the state. It runs on every PollInterval
+// tick and whenever a worker loop completes or fails a shard.
+func (f *Fleet) supervise(ctx context.Context, workers []*fleetWorker, wake <-chan struct{}) error {
+	tick := time.NewTicker(f.poll())
+	defer tick.Stop()
 	var allDeadSince time.Time
 	for !f.Coord.Done() {
-		if err := ctx.Err(); err != nil {
-			f.persist()
-			return f.Coord.Merged(), err
-		}
 		f.Coord.ExpireLeases()
-
-		alive := false
-		for _, w := range workers {
-			f.tickWorker(ctx, w, obj)
-			if f.workerState(w) != workerDead {
-				alive = true
-			}
-		}
 
 		// Poison-shard and dead-fleet guards: without them a shard that
 		// fails deterministically, or a fleet that never comes back, would
 		// spin forever.
 		for _, sv := range f.Coord.Shards() {
 			if sv.Status != ShardDone && sv.Requeues >= f.maxRequeues() {
-				f.persist()
-				return f.Coord.Merged(), fmt.Errorf("dist: shard %d re-queued %d times; giving up", sv.Shard.Index, sv.Requeues)
+				return fmt.Errorf("dist: shard %d re-queued %d times; giving up", sv.Shard.Index, sv.Requeues)
+			}
+		}
+		alive := false
+		for _, w := range workers {
+			if f.workerState(w) != workerDead {
+				alive = true
 			}
 		}
 		switch {
@@ -186,77 +229,116 @@ func (f *Fleet) Run(ctx context.Context) (*Merged, error) {
 		case allDeadSince.IsZero():
 			allDeadSince = time.Now()
 		case time.Since(allDeadSince) > f.giveUpAfter():
-			f.persist()
-			return f.Coord.Merged(), fmt.Errorf("dist: all %d workers unreachable for %s; giving up", len(workers), f.giveUpAfter())
+			return fmt.Errorf("dist: all %d workers unreachable for %s; giving up", len(workers), f.giveUpAfter())
 		}
 
 		f.persist()
 		select {
 		case <-ctx.Done():
-		case <-time.After(f.poll()):
+			return ctx.Err()
+		case <-tick.C:
+		case <-wake:
 		}
 	}
-	f.persist()
-	return f.Coord.Merged(), nil
+	return nil
 }
 
-// tickWorker advances one worker's state machine by one tick.
-func (f *Fleet) tickWorker(ctx context.Context, w *fleetWorker, obj search.Objective) {
-	switch f.workerState(w) {
-	case workerDead:
-		if w.client.Healthz(ctx) == nil {
-			f.setWorkerState(w, workerIdle)
-			f.log().Info("dist: worker revived", "worker", w.name)
+// workerLoop drives one worker until stepCtx ends: lease, submit, long-poll
+// and, on completion, lease again at once. Requests run under reqCtx, which
+// outlives stepCtx by Run's stop grace. Each completion or failure wakes
+// Run's supervise loop.
+func (f *Fleet) workerLoop(stepCtx, reqCtx context.Context, w *fleetWorker, obj search.Objective, wake chan<- struct{}) {
+	notify := func() {
+		select {
+		case wake <- struct{}{}:
+		default:
 		}
-
-	case workerIdle:
-		sh, ckpt, ok := f.Coord.Lease(w.name)
-		if !ok {
-			return
-		}
-		id, err := w.client.SubmitShard(ctx, f.Spec, sh, ckpt)
-		if err != nil {
-			f.Coord.Fail(sh.Index, w.name)
-			f.setWorkerState(w, workerDead)
-			obs.Event(ctx, "shard:requeue")
-			f.log().Warn("dist: shard submit failed; worker marked dead", "worker", w.name, "shard", sh.Index, "err", err)
-			return
-		}
-		w.shard, w.jobID = sh.Index, id
-		f.setWorkerState(w, workerBusy)
-		obs.Event(ctx, "shard:lease")
-
-	case workerBusy:
-		st, err := w.client.Job(ctx, w.jobID)
-		if err != nil {
-			if ctx.Err() != nil {
-				return
+	}
+	for stepCtx.Err() == nil {
+		switch f.workerState(w) {
+		case workerDead:
+			if w.client.Healthz(reqCtx) == nil {
+				f.setWorkerState(w, workerIdle)
+				f.log().Info("dist: worker revived", "worker", w.name)
+				continue
 			}
-			f.Coord.Fail(w.shard, w.name)
-			f.setWorkerState(w, workerDead)
-			obs.Event(ctx, "shard:requeue")
-			f.log().Warn("dist: worker lost; shard re-queued", "worker", w.name, "shard", w.shard, "err", err)
-			return
-		}
-		switch st.Status {
-		case "done":
-			res := shardResultOf(st.Result, obj)
-			f.Coord.Complete(w.shard, w.name, res)
-			f.setWorkerState(w, workerIdle)
-			obs.Event(ctx, "shard:complete")
-		case "failed":
-			// The worker is healthy; the job itself failed. Re-queue (the
-			// poison-shard cap in Run bounds deterministic failures).
-			f.Coord.Fail(w.shard, w.name)
-			f.setWorkerState(w, workerIdle)
-			obs.Event(ctx, "shard:requeue")
-			f.log().Warn("dist: shard job failed; re-queued", "worker", w.name, "shard", w.shard, "err", st.Error)
-		default: // running or interrupted (worker restarting the job)
-			f.Coord.Heartbeat(w.shard, w.name)
-			if ckpt, err := w.client.JobCheckpoint(ctx, w.jobID); err == nil && len(ckpt) > 0 {
-				f.Coord.SaveCheckpoint(w.shard, w.name, ckpt)
+			sleep(stepCtx, f.poll())
+
+		case workerIdle:
+			sh, ckpt, ok := f.Coord.Lease(w.name)
+			if !ok {
+				sleep(stepCtx, f.poll()) // nothing pending; a lease may yet lapse
+				continue
+			}
+			id, err := w.client.SubmitShard(reqCtx, f.Spec, sh, ckpt)
+			if err != nil {
+				if reqCtx.Err() != nil {
+					return
+				}
+				f.Coord.Fail(sh.Index, w.name)
+				f.setWorkerState(w, workerDead)
+				obs.Event(reqCtx, "shard:requeue")
+				f.log().Warn("dist: shard submit failed; worker marked dead", "worker", w.name, "shard", sh.Index, "err", err)
+				notify()
+				continue
+			}
+			w.shard, w.jobID = sh.Index, id
+			f.setWorkerState(w, workerBusy)
+			obs.Event(reqCtx, "shard:lease")
+
+		case workerBusy:
+			start := time.Now()
+			st, err := w.client.Job(reqCtx, w.jobID, f.poll())
+			if err != nil {
+				if reqCtx.Err() != nil {
+					return
+				}
+				f.Coord.Fail(w.shard, w.name)
+				f.setWorkerState(w, workerDead)
+				obs.Event(reqCtx, "shard:requeue")
+				f.log().Warn("dist: worker lost; shard re-queued", "worker", w.name, "shard", w.shard, "err", err)
+				notify()
+				continue
+			}
+			switch st.Status {
+			case "done":
+				res := shardResultOf(st.Result, obj)
+				f.Coord.Complete(w.shard, w.name, res)
+				f.setWorkerState(w, workerIdle)
+				obs.Event(reqCtx, "shard:complete")
+				notify()
+			case "failed":
+				// The worker is healthy; the job itself failed. Re-queue (the
+				// poison-shard cap in supervise bounds deterministic
+				// failures).
+				f.Coord.Fail(w.shard, w.name)
+				f.setWorkerState(w, workerIdle)
+				obs.Event(reqCtx, "shard:requeue")
+				f.log().Warn("dist: shard job failed; re-queued", "worker", w.name, "shard", w.shard, "err", st.Error)
+				notify()
+			default: // running or interrupted (worker restarting the job)
+				f.Coord.Heartbeat(w.shard, w.name)
+				if ckpt, err := w.client.JobCheckpoint(reqCtx, w.jobID); err == nil && len(ckpt) > 0 {
+					f.Coord.SaveCheckpoint(w.shard, w.name, ckpt)
+				}
+				// A worker without wait_ms, or an interrupted job, replies
+				// at once: wait out the interval rather than busy-poll.
+				sleep(stepCtx, f.poll()-time.Since(start))
 			}
 		}
+	}
+}
+
+// sleep waits d or until ctx ends.
+func sleep(ctx context.Context, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+	case <-t.C:
 	}
 }
 

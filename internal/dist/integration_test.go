@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,18 +38,62 @@ func integSpec(algo string) *dist.JobSpec {
 // newWorker starts one rubyserve worker with its own state directory.
 func newWorker(t *testing.T) *httptest.Server {
 	t.Helper()
+	ts, _ := newCountedWorker(t, false)
+	return ts
+}
+
+// newCountedWorker starts a worker behind a countingWorker. With dropQuery
+// the worker ignores query strings, like a worker that predates wait_ms.
+func newCountedWorker(t *testing.T, dropQuery bool) (*httptest.Server, *countingWorker) {
+	t.Helper()
 	svc, err := server.NewService(server.Options{StateDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(svc)
+	cw := &countingWorker{h: svc, dropQuery: dropQuery, polls: map[string]int{}}
+	ts := httptest.NewServer(cw)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = svc.Shutdown(ctx)
 	})
-	return ts
+	return ts, cw
+}
+
+// countingWorker wraps a worker's handler. It counts the requests in
+// flight and the GET /v1/jobs/{id} status requests per job.
+type countingWorker struct {
+	h         http.Handler
+	dropQuery bool
+	inflight  atomic.Int64
+
+	mu    sync.Mutex
+	polls map[string]int
+}
+
+func (c *countingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	c.inflight.Add(1)
+	defer c.inflight.Add(-1)
+	if c.dropQuery {
+		r.URL.RawQuery = ""
+	}
+	if id, ok := strings.CutPrefix(r.URL.Path, "/v1/jobs/"); ok && r.Method == http.MethodGet && !strings.Contains(id, "/") {
+		c.mu.Lock()
+		c.polls[id]++
+		c.mu.Unlock()
+	}
+	c.h.ServeHTTP(w, r)
+}
+
+// requireIdle asserts no request is in flight on any of the workers.
+func requireIdle(t *testing.T, when string, workers ...*countingWorker) {
+	t.Helper()
+	for i, cw := range workers {
+		if n := cw.inflight.Load(); n != 0 {
+			t.Errorf("%s: worker %d still serves %d request(s)", when, i, n)
+		}
+	}
 }
 
 // killAfterSubmits closes a worker's listener right after it has accepted
@@ -202,7 +248,9 @@ func TestFleetResumeFromState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	workers := []string{newWorker(t).URL, newWorker(t).URL}
+	ts0, cw0 := newCountedWorker(t, false)
+	ts1, cw1 := newCountedWorker(t, false)
+	workers := []string{ts0.URL, ts1.URL}
 	statePath := t.TempDir() + "/coord.json"
 	coord := dist.NewCoordinator(plan, 5*time.Second, nil)
 	fleet := &dist.Fleet{
@@ -239,6 +287,7 @@ func TestFleetResumeFromState(t *testing.T) {
 	if runErr == nil {
 		t.Log("plan finished before the interrupt; resume still exercised below")
 	}
+	requireIdle(t, "after the interrupted run", cw0, cw1)
 
 	st, err := dist.LoadState(statePath)
 	if err != nil {
@@ -262,5 +311,81 @@ func TestFleetResumeFromState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireIdle(t, "after the resumed run", cw0, cw1)
 	requireIdentical(t, merged, local)
+}
+
+// TestFleetReactsWithinTick: with a 5 s PollInterval, a fleet that learned
+// of finished shards only on its tick would need at least four ticks (20 s)
+// for two workers on four shards. The long-poll reports each completion at
+// once and the freed worker leases its next shard in the same step, so the
+// run finishes well inside one tick.
+func TestFleetReactsWithinTick(t *testing.T) {
+	spec := integSpec("exhaustive")
+	plan := mustPlan(t, spec, "exhaustive", 7, 4, 0)
+	local, err := dist.RunLocal(context.Background(), spec, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ts0, cw0 := newCountedWorker(t, false)
+	ts1, cw1 := newCountedWorker(t, false)
+	fleet := &dist.Fleet{
+		Coord:        dist.NewCoordinator(plan, 30*time.Second, nil),
+		Spec:         spec,
+		Workers:      []string{ts0.URL, ts1.URL},
+		PollInterval: 5 * time.Second,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
+	defer cancel()
+	merged, err := fleet.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdle(t, "after the run", cw0, cw1)
+	requireIdentical(t, merged, local)
+}
+
+// TestFleetWorkerWithoutWait: a worker that ignores wait_ms answers every
+// status request at once. The fleet must still finish bit-identical, and
+// must wait out each PollInterval between polls instead of busy-polling.
+func TestFleetWorkerWithoutWait(t *testing.T) {
+	spec := integSpec("random")
+	plan := mustPlan(t, spec, "random", 42, 4, 40000)
+	local, err := dist.RunLocal(context.Background(), spec, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	old, oldCount := newCountedWorker(t, true)
+	cur, curCount := newCountedWorker(t, false)
+	const poll = 20 * time.Millisecond
+	fleet := &dist.Fleet{
+		Coord:        dist.NewCoordinator(plan, 30*time.Second, nil),
+		Spec:         spec,
+		Workers:      []string{old.URL, cur.URL},
+		PollInterval: poll,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	start := time.Now()
+	merged, err := fleet.Run(ctx)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdle(t, "after the run", oldCount, curCount)
+	requireIdentical(t, merged, local)
+
+	limit := int(elapsed/poll) + 2
+	oldCount.mu.Lock()
+	defer oldCount.mu.Unlock()
+	if len(oldCount.polls) == 0 {
+		t.Fatal("the worker without wait_ms ran no shard")
+	}
+	for id, n := range oldCount.polls {
+		if n > limit {
+			t.Errorf("job %s polled %d times in %v; at most %d without busy-polling", id, n, elapsed, limit)
+		}
+	}
 }

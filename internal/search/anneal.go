@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -49,7 +50,9 @@ func (o AnnealOptions) withDefaults() AnnealOptions {
 // incumbent in place (rejections are undone exactly) and candidates are
 // scored by the bit-identical delta kernel, so trajectories and results
 // match the historical clone-and-reevaluate implementation draw for draw.
-func Anneal(sp *mapspace.Space, ev *nest.Evaluator, opt AnnealOptions) *Result {
+// ctx is checked before every warmup sample and annealing step; on
+// cancellation Anneal returns the best mapping found so far.
+func Anneal(ctx context.Context, sp *mapspace.Space, ev *nest.Evaluator, opt AnnealOptions) *Result {
 	opt = opt.withDefaults()
 	if sp.Work != ev.Work || sp.Arch != ev.Arch {
 		panic("search: mapspace and evaluator must share workload and architecture objects for incremental evaluation")
@@ -60,6 +63,9 @@ func Anneal(sp *mapspace.Space, ev *nest.Evaluator, opt AnnealOptions) *Result {
 	// Warmup: best random sample becomes the incumbent.
 	var cur *annealState
 	for i := 0; i < opt.Warmup; i++ {
+		if ctxErr(ctx) != nil {
+			return res
+		}
 		res.Evaluated++
 		m := sp.Sample(rng)
 		c := ev.Evaluate(m)
@@ -95,7 +101,7 @@ func Anneal(sp *mapspace.Space, ev *nest.Evaluator, opt AnnealOptions) *Result {
 	t0 := opt.StartTemp * cur.value
 	cooling := math.Pow(1e-3, 1/float64(opt.Steps)) // t0 -> t0/1000 over the run
 	temp := t0
-	for step := 0; step < opt.Steps; step++ {
+	for step := 0; step < opt.Steps && ctxErr(ctx) == nil; step++ {
 		mv := mut.Propose(rng)
 		mv.Apply(cur.m)
 		res.Evaluated++

@@ -13,7 +13,7 @@ import (
 
 func TestAnnealConvergesOnToy(t *testing.T) {
 	sp, ev := toy(mapspace.RubyS)
-	res := Anneal(sp, ev, AnnealOptions{Seed: 1, Steps: 3000, Warmup: 100})
+	res := Anneal(context.Background(), sp, ev, AnnealOptions{Seed: 1, Steps: 3000, Warmup: 100})
 	if res.Best == nil {
 		t.Fatal("no valid mapping")
 	}
@@ -27,7 +27,7 @@ func TestAnnealCompetitiveWithRandom(t *testing.T) {
 	a := arch.EyerissLike(14, 12, 128)
 	sp := mapspace.New(w, a, mapspace.RubyS, mapspace.EyerissRowStationary(w))
 	ev := nest.MustEvaluator(w, a)
-	ann := Anneal(sp, ev, AnnealOptions{Seed: 2, Steps: 4000, Warmup: 200})
+	ann := Anneal(context.Background(), sp, ev, AnnealOptions{Seed: 2, Steps: 4000, Warmup: 200})
 	if ann.Best == nil {
 		t.Fatal("anneal found nothing")
 	}
@@ -40,8 +40,8 @@ func TestAnnealCompetitiveWithRandom(t *testing.T) {
 
 func TestAnnealDeterministic(t *testing.T) {
 	sp, ev := toy(mapspace.Ruby)
-	a := Anneal(sp, ev, AnnealOptions{Seed: 3, Steps: 500, Warmup: 50})
-	b := Anneal(sp, ev, AnnealOptions{Seed: 3, Steps: 500, Warmup: 50})
+	a := Anneal(context.Background(), sp, ev, AnnealOptions{Seed: 3, Steps: 500, Warmup: 50})
+	b := Anneal(context.Background(), sp, ev, AnnealOptions{Seed: 3, Steps: 500, Warmup: 50})
 	if a.BestCost.EDP != b.BestCost.EDP || a.Evaluated != b.Evaluated {
 		t.Error("same seed diverged")
 	}
@@ -52,7 +52,7 @@ func TestAnnealNoValidWarmup(t *testing.T) {
 	a := arch.ToyGLB(7, 1)
 	sp := mapspace.New(w, a, mapspace.Ruby, mapspace.Constraints{FixedPerms: true})
 	ev := nest.MustEvaluator(w, a)
-	res := Anneal(sp, ev, AnnealOptions{Seed: 4, Steps: 100, Warmup: 50})
+	res := Anneal(context.Background(), sp, ev, AnnealOptions{Seed: 4, Steps: 100, Warmup: 50})
 	if res.Best != nil {
 		t.Error("found a mapping where none can be valid")
 	}

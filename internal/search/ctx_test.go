@@ -49,7 +49,8 @@ func TestRandomCancelStopsPromptly(t *testing.T) {
 }
 
 // TestRandomCancelledKeepsWarmStart: even with an already-cancelled
-// context the warm-start incumbent is returned, never lost.
+// context the warm-start incumbent is returned, never lost — by the
+// one-shot Random and by the resumable RandomSearcher alike.
 func TestRandomCancelledKeepsWarmStart(t *testing.T) {
 	sp, ev := toy(mapspace.RubyS)
 	seed := Random(context.Background(), sp, engine.New(ev), Options{Seed: 1, Threads: 2, MaxEvaluations: 500})
@@ -58,15 +59,55 @@ func TestRandomCancelledKeepsWarmStart(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := Random(ctx, sp, engine.New(ev), Options{
+	opt := Options{
 		Seed: 2, Threads: 2, MaxEvaluations: 1 << 40, ConsecutiveNoImprove: 1 << 40,
 		WarmStart: seed.Best,
-	})
-	if res.Best == nil {
-		t.Fatal("warm start lost under pre-cancelled context")
 	}
-	if res.BestCost.EDP > seed.BestCost.EDP {
-		t.Errorf("best-so-far worse than warm start: %g > %g", res.BestCost.EDP, seed.BestCost.EDP)
+	for name, res := range map[string]*Result{
+		"Random":         Random(ctx, sp, engine.New(ev), opt),
+		"RandomSearcher": stepToDone(ctx, NewRandom(sp, engine.New(ev), opt)),
+	} {
+		if res.Best == nil {
+			t.Errorf("%s: warm start lost under pre-cancelled context", name)
+			continue
+		}
+		if res.BestCost.EDP > seed.BestCost.EDP {
+			t.Errorf("%s: best-so-far worse than warm start: %g > %g", name, res.BestCost.EDP, seed.BestCost.EDP)
+		}
+	}
+}
+
+// TestPopulationSearchersHonorCancel: anneal and genetic stop on a
+// cancelled context and return their best-so-far.
+func TestPopulationSearchersHonorCancel(t *testing.T) {
+	sp, ev := toy(mapspace.RubyS)
+	pre, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res := Anneal(pre, sp, ev, AnnealOptions{Seed: 1, Steps: 1 << 30, Warmup: 1 << 30}); res.Evaluated != 0 {
+		t.Errorf("pre-cancelled anneal evaluated %d mappings", res.Evaluated)
+	}
+	if res := Genetic(pre, sp, ev, GeneticOptions{Seed: 1, Generations: 1 << 30}); res.Evaluated != 0 {
+		t.Errorf("pre-cancelled genetic evaluated %d mappings", res.Evaluated)
+	}
+
+	for name, run := range map[string]func(context.Context) *Result{
+		"anneal": func(ctx context.Context) *Result {
+			return Anneal(ctx, sp, ev, AnnealOptions{Seed: 1, Steps: 1 << 30, Warmup: 200})
+		},
+		"genetic": func(ctx context.Context) *Result {
+			return Genetic(ctx, sp, ev, GeneticOptions{Seed: 1, Generations: 1 << 30})
+		},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		start := time.Now()
+		res := run(ctx)
+		cancel()
+		if wall := time.Since(start); wall > 5*time.Second {
+			t.Errorf("%s: cancelled search took %v", name, wall)
+		}
+		if res.Best == nil || res.Evaluated == 0 {
+			t.Errorf("%s: cancelled search lost its best-so-far (%d evaluated)", name, res.Evaluated)
+		}
 	}
 }
 

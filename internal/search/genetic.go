@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -57,12 +58,17 @@ type individual struct {
 // Genetic evolves a population of mappings: tournament selection, per-
 // dimension uniform crossover of tiling chains, per-level permutation
 // inheritance, and mutation by chain resampling. Fitness is EDP; invalid
-// mappings score +Inf but may still recombine out of trouble.
-func Genetic(sp *mapspace.Space, ev *nest.Evaluator, opt GeneticOptions) *Result {
+// mappings score +Inf but may still recombine out of trouble. ctx is
+// checked before the initial population and before every generation; on
+// cancellation Genetic returns the best mapping found so far.
+func Genetic(ctx context.Context, sp *mapspace.Space, ev *nest.Evaluator, opt GeneticOptions) *Result {
 	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	res := &Result{}
 	dims := sp.Work.DimNames()
+	if ctxErr(ctx) != nil {
+		return res
+	}
 
 	score := func(m *mapping.Mapping) individual {
 		res.Evaluated++
@@ -93,7 +99,7 @@ func Genetic(sp *mapspace.Space, ev *nest.Evaluator, opt GeneticOptions) *Result
 		return b
 	}
 
-	for g := 0; g < opt.Generations; g++ {
+	for g := 0; g < opt.Generations && ctxErr(ctx) == nil; g++ {
 		sort.Slice(pop, func(i, j int) bool { return pop[i].edp < pop[j].edp })
 		next := make([]individual, 0, opt.Population)
 		next = append(next, pop[:opt.Elites]...)

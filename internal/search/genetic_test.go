@@ -13,7 +13,7 @@ import (
 
 func TestGeneticConvergesOnToy(t *testing.T) {
 	sp, ev := toy(mapspace.RubyS)
-	res := Genetic(sp, ev, GeneticOptions{Seed: 1, Population: 32, Generations: 20})
+	res := Genetic(context.Background(), sp, ev, GeneticOptions{Seed: 1, Population: 32, Generations: 20})
 	if res.Best == nil {
 		t.Fatal("no valid mapping")
 	}
@@ -31,7 +31,7 @@ func TestGeneticCompetitiveWithRandom(t *testing.T) {
 	sp := mapspace.New(w, a, mapspace.RubyS, mapspace.EyerissRowStationary(w))
 	ev := nest.MustEvaluator(w, a)
 
-	gen := Genetic(sp, ev, GeneticOptions{Seed: 2, Population: 64, Generations: 60})
+	gen := Genetic(context.Background(), sp, ev, GeneticOptions{Seed: 2, Population: 64, Generations: 60})
 	if gen.Best == nil {
 		t.Fatal("genetic found nothing")
 	}
@@ -50,8 +50,8 @@ func TestGeneticCompetitiveWithRandom(t *testing.T) {
 
 func TestGeneticDeterministic(t *testing.T) {
 	sp, ev := toy(mapspace.Ruby)
-	a := Genetic(sp, ev, GeneticOptions{Seed: 5, Population: 16, Generations: 5})
-	b := Genetic(sp, ev, GeneticOptions{Seed: 5, Population: 16, Generations: 5})
+	a := Genetic(context.Background(), sp, ev, GeneticOptions{Seed: 5, Population: 16, Generations: 5})
+	b := Genetic(context.Background(), sp, ev, GeneticOptions{Seed: 5, Population: 16, Generations: 5})
 	if a.BestCost.EDP != b.BestCost.EDP || a.Evaluated != b.Evaluated {
 		t.Error("same seed diverged")
 	}
@@ -70,7 +70,7 @@ func TestGeneticOptionDefaults(t *testing.T) {
 
 func TestGeneticTraceMonotone(t *testing.T) {
 	sp, ev := toy(mapspace.RubyT)
-	res := Genetic(sp, ev, GeneticOptions{Seed: 3, Population: 16, Generations: 10})
+	res := Genetic(context.Background(), sp, ev, GeneticOptions{Seed: 3, Population: 16, Generations: 10})
 	for i := 1; i < len(res.Trace); i++ {
 		if res.Trace[i].Value >= res.Trace[i-1].Value || res.Trace[i].Evals < res.Trace[i-1].Evals {
 			t.Fatalf("trace not monotone: %+v", res.Trace)

@@ -17,9 +17,7 @@ import (
 // portfolio is a robust default when the shape is unknown. The member that
 // produced the incumbent is reported as an obs event
 // ("portfolio:winner:<member>") and through engine.PortfolioMetrics when the
-// engine's metrics sink implements it. Cancellation is honored between and
-// within the cancellable stages (random, hill climb, guided); the population
-// stages (genetic, anneal) are skipped entirely once ctx is done, so a
+// engine's metrics sink implements it. Every member honors ctx, so a
 // cancelled portfolio still returns its best-so-far quickly.
 func Portfolio(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options) *Result {
 	opt = opt.withDefaults()
@@ -42,23 +40,19 @@ func Portfolio(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt 
 	randOpt.ConsecutiveNoImprove = 0
 	members = append(members, member{"random", Random(ctx, sp, eng, randOpt)})
 
-	if ctx == nil || ctx.Err() == nil {
-		pop := 64
-		gens := int(share)/pop - 1
-		if gens < 1 {
-			gens = 1
-		}
-		members = append(members, member{"genetic", Genetic(sp, eng.Evaluator(), GeneticOptions{
-			Seed: opt.Seed + 1, Population: pop, Generations: gens, Objective: opt.Objective,
-		})})
+	pop := 64
+	gens := int(share)/pop - 1
+	if gens < 1 {
+		gens = 1
 	}
+	members = append(members, member{"genetic", Genetic(ctx, sp, eng.Evaluator(), GeneticOptions{
+		Seed: opt.Seed + 1, Population: pop, Generations: gens, Objective: opt.Objective,
+	})})
 
 	warm := int(share) / 10
-	if ctx == nil || ctx.Err() == nil {
-		members = append(members, member{"anneal", Anneal(sp, eng.Evaluator(), AnnealOptions{
-			Seed: opt.Seed + 2, Steps: int(share) - warm, Warmup: warm, Objective: opt.Objective,
-		})})
-	}
+	members = append(members, member{"anneal", Anneal(ctx, sp, eng.Evaluator(), AnnealOptions{
+		Seed: opt.Seed + 2, Steps: int(share) - warm, Warmup: warm, Objective: opt.Objective,
+	})})
 
 	members = append(members, member{"hillclimb", HillClimb(ctx, sp, eng, Options{
 		Seed: opt.Seed + 3, Objective: opt.Objective,

@@ -172,10 +172,9 @@ func (s *RandomSearcher) Step(ctx context.Context) (bool, error) {
 	if s.done {
 		return true, nil
 	}
-	if err := ctxErr(ctx); err != nil {
-		return false, err
-	}
-	met := s.eng.Metrics()
+	// The warm start is evaluated before the cancellation check, as in the
+	// one-shot Random: a search under an already-cancelled context still
+	// returns it. It draws nothing from the RNG.
 	if !s.warmed {
 		s.warmed = true
 		if s.opt.WarmStart != nil {
@@ -188,6 +187,10 @@ func (s *RandomSearcher) Step(ctx context.Context) (bool, error) {
 			}
 		}
 	}
+	if err := ctxErr(ctx); err != nil {
+		return false, err
+	}
+	met := s.eng.Metrics()
 
 	n := len(s.batch)
 	if s.opt.MaxEvaluations > 0 {

@@ -39,7 +39,7 @@ func Run(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, algo strin
 			warm := int(opt.MaxEvaluations) / 10
 			ao.Warmup, ao.Steps = warm, int(opt.MaxEvaluations)-warm
 		}
-		return Anneal(sp, eng.Evaluator(), ao), nil
+		return Anneal(ctx, sp, eng.Evaluator(), ao), nil
 	case "genetic":
 		gopt := GeneticOptions{Seed: opt.Seed, Objective: opt.Objective}
 		if opt.MaxEvaluations > 0 {
@@ -50,7 +50,7 @@ func Run(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, algo strin
 				gopt.Generations = 1
 			}
 		}
-		return Genetic(sp, eng.Evaluator(), gopt), nil
+		return Genetic(ctx, sp, eng.Evaluator(), gopt), nil
 	case "portfolio":
 		return Portfolio(ctx, sp, eng, opt), nil
 	default:

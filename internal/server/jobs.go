@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -125,10 +126,14 @@ type jobManager struct {
 	dir string // "" = in-memory only
 	svc *service
 
-	//ruby:guards jobs,nextID,draining
+	//ruby:guards jobs,nextID,draining,running
 	mu     sync.Mutex
 	jobs   map[string]*jobRecord
 	nextID int
+	// running holds one channel per running job; the job's goroutine
+	// closes it when the job leaves "running", which releases every
+	// GET /v1/jobs/{id}?wait_ms=N waiting on it.
+	running map[string]chan struct{}
 
 	wg       sync.WaitGroup
 	baseCtx  context.Context
@@ -139,7 +144,10 @@ type jobManager struct {
 //ruby:ctxroot
 func newJobManager(dir string, svc *service) (*jobManager, error) {
 	ctx, cancel := context.WithCancel(context.Background())
-	jm := &jobManager{dir: dir, svc: svc, jobs: make(map[string]*jobRecord), baseCtx: ctx, cancel: cancel}
+	jm := &jobManager{
+		dir: dir, svc: svc, baseCtx: ctx, cancel: cancel,
+		jobs: make(map[string]*jobRecord), running: make(map[string]chan struct{}),
+	}
 	if dir == "" {
 		return jm, nil
 	}
@@ -252,6 +260,7 @@ func (jm *jobManager) submit(req config.SearchRequest) (*jobRecord, error) {
 func (jm *jobManager) startLocked(rec *jobRecord) {
 	jm.wg.Add(1)
 	id := rec.ID
+	jm.running[id] = make(chan struct{})
 	//ruby:detached run derives its context from jm.baseCtx internally; jm.cancel reaches it
 	go func() {
 		defer jm.wg.Done()
@@ -280,6 +289,8 @@ func (jm *jobManager) run(id string) {
 			rec.FinishedAt = &now
 		}
 		_ = jm.persistLocked(rec)
+		close(jm.running[id])
+		delete(jm.running, id)
 	}
 
 	ev, sp, err := req.Resolve()
@@ -421,14 +432,61 @@ func (jm *jobManager) statusSamples() []obs.Sample {
 
 // get returns a copy of one record.
 func (jm *jobManager) get(id string) (*jobRecord, bool) {
+	rec, _, ok := jm.lookup(id)
+	return rec, ok
+}
+
+// lookup returns a copy of one record and, while the job runs, the channel
+// its goroutine closes when the job leaves "running" (nil otherwise).
+func (jm *jobManager) lookup(id string) (*jobRecord, <-chan struct{}, bool) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	rec, ok := jm.jobs[id]
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	c := *rec
-	return &c, true
+	return &c, jm.running[id], true
+}
+
+// wait returns a copy of job id's record once the job leaves "running", d
+// passes or ctx ends, whichever comes first. A job that is not running
+// (or d <= 0) returns at once.
+func (jm *jobManager) wait(ctx context.Context, id string, d time.Duration) (*jobRecord, bool) {
+	rec, done, ok := jm.lookup(id)
+	if !ok || done == nil || d <= 0 {
+		return rec, ok
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-t.C:
+	case <-ctx.Done():
+	}
+	return jm.get(id)
+}
+
+// maxJobWait caps GET /v1/jobs/{id}?wait_ms=N; larger values wait this long.
+const maxJobWait = time.Minute
+
+// parseWait reads the wait_ms query parameter: absent means no wait, and a
+// value above maxJobWait is capped.
+func parseWait(v string) (time.Duration, error) {
+	if v == "" {
+		return 0, nil
+	}
+	ms, err := strconv.ParseInt(v, 10, 64)
+	if errors.Is(err, strconv.ErrRange) && ms > 0 {
+		return maxJobWait, nil // too large even for an int64
+	}
+	if err != nil || ms < 0 {
+		return 0, fmt.Errorf("wait_ms %q is not a non-negative integer", v)
+	}
+	if ms > maxJobWait.Milliseconds() {
+		return maxJobWait, nil
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -464,8 +522,16 @@ func (s *service) handleJobList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.list()})
 }
 
+// handleJobGet serves one job's record. With ?wait_ms=N it long-polls: the
+// reply is held until the job leaves "running", N ms pass or the client
+// goes away.
 func (s *service) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.jobs.get(r.PathValue("id"))
+	wait, err := parseWait(r.URL.Query().Get("wait_ms"))
+	if err != nil {
+		writeErr(w, CodeInvalidRequest, err)
+		return
+	}
+	rec, ok := s.jobs.wait(r.Context(), r.PathValue("id"), wait)
 	if !ok {
 		writeErr(w, CodeNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return

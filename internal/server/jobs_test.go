@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
@@ -180,5 +182,201 @@ func TestShutdownRejectsNewJobs(t *testing.T) {
 	rec, _ := do(t, srv, "POST", "/v1/jobs", jobBody(100))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("draining server accepted a job: status %d", rec.Code)
+	}
+}
+
+// longPoll issues GET /v1/jobs/{id}?wait_ms=N and reports how long the reply
+// took.
+func longPoll(t *testing.T, h http.Handler, id, waitMS string) (*httptest.ResponseRecorder, map[string]any, time.Duration) {
+	t.Helper()
+	start := time.Now()
+	rec, out := do(t, h, "GET", "/v1/jobs/"+id+"?wait_ms="+waitMS, "")
+	return rec, out, time.Since(start)
+}
+
+// submitJob posts a job with the given evaluation budget and returns its ID.
+func submitJob(t *testing.T, h http.Handler, maxEvals int) string {
+	t.Helper()
+	rec, out := do(t, h, "POST", "/v1/jobs", jobBody(maxEvals))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %v", rec.Code, out)
+	}
+	return out["id"].(string)
+}
+
+// A long-poll on a job that has already finished returns at once.
+func TestJobWaitFinishedReturnsAtOnce(t *testing.T) {
+	srv, err := NewService(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := submitJob(t, srv, 500)
+	waitJob(t, srv, id, JobDone)
+	rec, out, took := longPoll(t, srv, id, "30000")
+	if rec.Code != http.StatusOK || out["status"] != JobDone {
+		t.Fatalf("status %d, job %v", rec.Code, out["status"])
+	}
+	if took > time.Second {
+		t.Errorf("long-poll on a finished job took %v", took)
+	}
+}
+
+// A long-poll on a running job returns as soon as the job ends, long before
+// wait_ms.
+func TestJobWaitReturnsWhenJobEnds(t *testing.T) {
+	srv, err := NewService(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := submitJob(t, srv, 200000)
+	rec, out, took := longPoll(t, srv, id, "30000")
+	returned := time.Now()
+	if rec.Code != http.StatusOK || out["status"] != JobDone {
+		t.Fatalf("status %d, job %v, want done", rec.Code, out["status"])
+	}
+	if took > 20*time.Second {
+		t.Fatalf("long-poll took %v, close to its 30 s wait", took)
+	}
+	finished, err := time.Parse(time.RFC3339Nano, out["finished_at"].(string))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lag := returned.Sub(finished); lag > 250*time.Millisecond {
+		t.Errorf("long-poll returned %v after the job finished", lag)
+	}
+}
+
+// A long-poll whose wait passes while the job still runs returns "running".
+func TestJobWaitDeadlineReturnsRunning(t *testing.T) {
+	srv, err := NewService(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	id := submitJob(t, srv, 1<<40)
+	rec, out, took := longPoll(t, srv, id, "100")
+	if rec.Code != http.StatusOK || out["status"] != JobRunning {
+		t.Fatalf("status %d, job %v, want running", rec.Code, out["status"])
+	}
+	if took < 100*time.Millisecond || took > 5*time.Second {
+		t.Errorf("wait_ms=100 returned after %v", took)
+	}
+}
+
+func TestJobWaitRejectsBadRequests(t *testing.T) {
+	srv, err := NewService(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := submitJob(t, srv, 100)
+	waitJob(t, srv, id, JobDone)
+	rec, _, took := longPoll(t, srv, "nope", "30000")
+	if rec.Code != http.StatusNotFound || took > time.Second {
+		t.Errorf("unknown job: status %d after %v, want an immediate 404", rec.Code, took)
+	}
+	for _, v := range []string{"-1", "abc", "1.5", "-99999999999999999999"} {
+		rec, out, _ := longPoll(t, srv, id, v)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("wait_ms=%s: status %d, want 400", v, rec.Code)
+			continue
+		}
+		if e, _ := out["error"].(map[string]any); e["code"] != CodeInvalidRequest || e["message"] == "" {
+			t.Errorf("wait_ms=%s: error envelope %v", v, out)
+		}
+	}
+	for _, v := range []string{"", "0"} {
+		if rec, out, _ := longPoll(t, srv, id, v); rec.Code != http.StatusOK || out["status"] != JobDone {
+			t.Errorf("wait_ms=%q: status %d, job %v", v, rec.Code, out["status"])
+		}
+	}
+}
+
+// Waits above the documented maximum are capped, not rejected.
+func TestJobWaitCapped(t *testing.T) {
+	for v, want := range map[string]time.Duration{
+		"":                     0,
+		"0":                    0,
+		"250":                  250 * time.Millisecond,
+		"60000":                maxJobWait,
+		"60001":                maxJobWait,
+		"99999999999999999999": maxJobWait,
+	} {
+		got, err := parseWait(v)
+		if err != nil || got != want {
+			t.Errorf("parseWait(%q) = %v, %v; want %v", v, got, err, want)
+		}
+	}
+	srv, err := NewService(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := submitJob(t, srv, 100)
+	waitJob(t, srv, id, JobDone)
+	if rec, out, _ := longPoll(t, srv, id, "99999999999999999999"); rec.Code != http.StatusOK || out["status"] != JobDone {
+		t.Errorf("capped wait: status %d, job %v", rec.Code, out["status"])
+	}
+}
+
+// Service.Shutdown releases a waiting long-poll promptly with status
+// "interrupted", and no handler is left running after the drain: the test
+// server's Close, which blocks on outstanding requests, returns at once.
+func TestJobWaitReleasedByShutdown(t *testing.T) {
+	srv, err := NewService(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := submitJob(t, srv, 1<<40)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	type reply struct {
+		status string
+		err    error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "?wait_ms=30000")
+		if err != nil {
+			got <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		s, _ := out["status"].(string)
+		got <- reply{status: s, err: err}
+	}()
+	select {
+	case r := <-got:
+		t.Fatalf("long-poll returned before the shutdown: status %q, err %v", r.status, r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-got:
+		if r.err != nil || r.status != JobInterrupted {
+			t.Fatalf("released long-poll: status %q, err %v; want interrupted", r.status, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("long-poll still waiting 5 s after Shutdown")
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("shutdown released the long-poll after %v", took)
+	}
+	closed := make(chan struct{})
+	go func() {
+		ts.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a handler is still running after the drain")
 	}
 }

@@ -15,7 +15,9 @@
 //	                         per-layer baseline plus fusion-aware segments
 //	POST /v1/jobs         -> submit an asynchronous search job -> {"id": ...}
 //	GET  /v1/jobs         -> list jobs (survives restarts with a state dir)
-//	GET  /v1/jobs/{id}    -> one job's status and, when done, its result
+//	GET  /v1/jobs/{id}    -> one job's status and, when done, its result;
+//	                         ?wait_ms=N holds the reply until the job leaves
+//	                         "running" (at most N ms, capped at one minute)
 //	GET  /v1/jobs/{id}/checkpoint -> the job's latest search snapshot (404
 //	                         until the first checkpoint is written)
 //	GET  /v1/healthz      -> liveness: 200 "ok", or 503 "draining" during

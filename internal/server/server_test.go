@@ -242,3 +242,26 @@ func TestSearchClientDisconnect(t *testing.T) {
 		t.Fatal("handler did not return after client disconnect")
 	}
 }
+
+// timeout_ms bounds every searcher, the population ones included: anneal
+// and genetic under a multi-million budget answer promptly with their
+// best-so-far and timed_out.
+func TestSearchTimeoutBoundsPopulationSearchers(t *testing.T) {
+	h := New()
+	for _, algo := range []string{"anneal", "genetic"} {
+		body := `{
+		  "workload": ` + toyWorkloadJSON + `,
+		  "arch": ` + toyArchJSON + `,
+		  "mapspace": "ruby-s", "search": "` + algo + `",
+		  "seed": 1, "max_evaluations": 50000000, "timeout_ms": 50
+		}`
+		start := time.Now()
+		rec, out := do(t, h, "POST", "/v1/search", body)
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("%s: timeout_ms 50 answered after %v", algo, took)
+		}
+		if rec.Code != http.StatusOK || out["timed_out"] != true {
+			t.Errorf("%s: status %d, timed_out %v; want 200 with timed_out", algo, rec.Code, out["timed_out"])
+		}
+	}
+}
