@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-obs race-dist bench bench-all bench-gate fmt vet lint fuzz-smoke docs-check check
+.PHONY: all build test race race-obs race-dist race-search bench bench-all bench-gate fmt vet lint fuzz-smoke docs-check check
 
 all: check
 
@@ -30,12 +30,23 @@ race-obs:
 race-dist:
 	$(GO) test -race -count=3 ./internal/dist/...
 
+# Batch-evaluation gate: the engine's reusable batch (persistent worker
+# scratches, shared result storage), the in-place exhaustive scan, the
+# random searcher on the same batch, and the kill-and-resume and
+# cancellation tests, under the race detector three times over. The
+# selection keeps it well under a minute; the whole search package takes
+# far longer under -race.
+RACE_SEARCH = ^Test(EvaluateBatch|Batch|Exhaustive|ShardedExhaustive|Random|Resumable|KillAndResume|CancelMidStep)
+race-search:
+	$(GO) test -race -count=3 -run '$(RACE_SEARCH)' ./internal/engine/... ./internal/search/...
+
 # Evaluation-kernel microbenchmarks (compiled plan vs legacy, engine cache,
-# sampler pipeline, delta-evaluation neighbor steps, cost attribution and
-# guided-mapper convergence), persisted as BENCH_eval.json and appended as a
-# dated record to BENCH_history.jsonl to track the perf trajectory across
-# PRs. `bench-all` runs the full suite once.
-BENCH_PATTERN = BenchmarkEvaluate|BenchmarkEngine|BenchmarkSample|BenchmarkNeighbor|BenchmarkAttribute|BenchmarkGuidedConverge|BenchmarkFused
+# sampler pipeline, delta-evaluation neighbor steps, cost attribution,
+# guided-mapper convergence and the in-place exhaustive scan), persisted as
+# BENCH_eval.json and appended as a dated record to BENCH_history.jsonl to
+# track the perf trajectory across PRs. `bench-all` runs the full suite
+# once.
+BENCH_PATTERN = BenchmarkEvaluate|BenchmarkEngine|BenchmarkSample|BenchmarkNeighbor|BenchmarkAttribute|BenchmarkGuidedConverge|BenchmarkFused|BenchmarkExhaustiveScan
 bench:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 2s . \
 		| $(GO) run ./tools/benchjson -o BENCH_eval.json -history BENCH_history.jsonl
@@ -47,7 +58,7 @@ bench:
 # a >20% growth in the guided mapper's evals-to-convergence. benchjson folds
 # the three runs (fastest time, highest allocations and metrics). Does not
 # rewrite the committed snapshot or history.
-BENCH_GATE = BenchmarkEvaluateCompiled,BenchmarkEvaluateConv,BenchmarkSampleEvaluatePipeline,BenchmarkAttribute,BenchmarkFusedEvaluateProducer,BenchmarkGuidedConverge:convergence_evals
+BENCH_GATE = BenchmarkEvaluateCompiled,BenchmarkEvaluateConv,BenchmarkSampleEvaluatePipeline,BenchmarkAttribute,BenchmarkFusedEvaluateProducer,BenchmarkExhaustiveScan,BenchmarkGuidedConverge:convergence_evals
 bench-gate:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 2s -count 3 . \
 		| $(GO) run ./tools/benchjson -o '' -baseline BENCH_eval.json -gate '$(BENCH_GATE)'
@@ -85,4 +96,4 @@ fuzz-smoke:
 docs-check: fmt vet
 	$(GO) run ./tools/linkcheck
 
-check: fmt vet build lint docs-check test race-dist race
+check: fmt vet build lint docs-check test race-dist race-search race

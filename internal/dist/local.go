@@ -12,7 +12,8 @@ import (
 
 // localCacheEntries mirrors the server's per-request memo cache size, so
 // the single-node reference execution evaluates through an equivalent
-// pipeline.
+// pipeline. Substream (stochastic) shards use the cache; chain shards are
+// exhaustive scans, which bypass it here as on the workers.
 const localCacheEntries = 1 << 15
 
 // RunLocal executes a plan's shards sequentially in-process and merges them

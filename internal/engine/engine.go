@@ -9,7 +9,8 @@
 //   - memoization: an optional concurrency-safe cache keyed by the canonical
 //     mapping signature (mapping.Key) stops random sampling in small or
 //     heavily constrained mapspaces from re-paying full model cost for
-//     duplicate samples;
+//     duplicate samples (exhaustive scans, which never repeat a mapping,
+//     bypass it: see NewBatch);
 //   - instrumentation: a pluggable Metrics hook counts evaluations, validity,
 //     cache hits, improvement events and per-search wall time, with an
 //     atomic default implementation exportable via expvar/JSON.
@@ -20,15 +21,12 @@
 package engine
 
 import (
-	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"ruby/internal/mapping"
 	"ruby/internal/nest"
-	"ruby/internal/obs"
 )
 
 // CancelledReason marks a Cost slot that was skipped because the batch's
@@ -50,8 +48,8 @@ type Config struct {
 	// Metrics receives evaluation and search events. nil disables
 	// instrumentation.
 	Metrics Metrics
-	// Workers bounds EvaluateBatch parallelism (default: NumCPU, capped at
-	// 24 to match the paper's search setup).
+	// Workers bounds Batch parallelism (default: NumCPU, capped at 24 to
+	// match the paper's search setup).
 	Workers int
 	// LatencySampleEvery reports every Nth uncached evaluation's model
 	// latency to Metrics.EvalLatency (counted per worker). 0 selects the
@@ -190,76 +188,24 @@ func (w *Worker) Evaluate(m *mapping.Mapping) nest.Cost {
 func (w *Worker) EvaluateShared(m *mapping.Mapping) nest.Cost {
 	e := w.e
 	if e.cache == nil {
-		w.n++
-		c := e.timedEval(m, w, w.n)
-		e.metrics.Evaluation(c.Valid, false)
-		return c
+		return w.evaluate(m)
 	}
 	key := m.Key(e.ev.Work, e.ev.Slots)
 	if c, ok := e.cache.get(key); ok {
 		e.metrics.Evaluation(c.Valid, true)
 		return c
 	}
-	w.n++
-	c := e.timedEval(m, w, w.n).Clone()
+	c := w.evaluate(m).Clone()
 	e.cache.put(key, c)
-	e.metrics.Evaluation(c.Valid, false)
 	return c
 }
 
-// EvaluateBatch evaluates a slice of mappings in parallel, preserving order.
-// When ctx is cancelled mid-batch, the remaining slots are filled with
-// CancelledReason placeholders instead of being evaluated; callers detect
-// them with Cancelled. A nil ctx means no cancellation.
-//
-// Each call reports its wall time to Metrics.BatchLatency and, when ctx
-// carries an obs.Recorder, records one "eval-batch" trace span — per-batch
-// granularity keeps tracing off the per-evaluation hot path.
-func (e *Engine) EvaluateBatch(ctx context.Context, ms []*mapping.Mapping) []nest.Cost {
-	_, span := obs.StartSpan(ctx, "eval-batch")
-	start := time.Now()
-	out := e.evaluateBatch(ctx, ms)
-	e.metrics.BatchLatency(time.Since(start), len(ms))
-	span.End()
-	return out
-}
-
-func (e *Engine) evaluateBatch(ctx context.Context, ms []*mapping.Mapping) []nest.Cost {
-	out := make([]nest.Cost, len(ms))
-	workers := e.workers
-	if workers > len(ms) {
-		workers = len(ms)
-	}
-	if workers <= 1 {
-		for i, m := range ms {
-			if ctx != nil && ctx.Err() != nil {
-				out[i] = nest.Cost{Valid: false, Reason: CancelledReason}
-				continue
-			}
-			out[i] = e.Evaluate(m)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for t := 0; t < workers; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wk := e.NewWorker()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ms) {
-					return
-				}
-				if ctx != nil && ctx.Err() != nil {
-					out[i] = nest.Cost{Valid: false, Reason: CancelledReason}
-					continue
-				}
-				out[i] = wk.Evaluate(ms[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+// evaluate is the uncached model call on the worker's scratch: the panic
+// guard, latency sampling and the Metrics.Evaluation report, with the
+// returned Cost's per-level slices aliasing the scratch.
+func (w *Worker) evaluate(m *mapping.Mapping) nest.Cost {
+	w.n++
+	c := w.e.timedEval(m, w, w.n)
+	w.e.metrics.Evaluation(c.Valid, false)
+	return c
 }

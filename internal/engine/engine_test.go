@@ -133,7 +133,7 @@ func TestEvaluateBatchMatchesSerial(t *testing.T) {
 	ms := samples(sp, 300, 4)
 	serial := New(ev)
 	parallel := Config{Workers: 8}.New(ev)
-	got := parallel.EvaluateBatch(context.Background(), ms)
+	got := parallel.NewBatch(true).Evaluate(context.Background(), ms)
 	for i, m := range ms {
 		want := serial.Evaluate(m)
 		if !reflect.DeepEqual(got[i], want) {
@@ -147,13 +147,94 @@ func TestEvaluateBatchCancelled(t *testing.T) {
 	ms := samples(sp, 100, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := Config{Workers: 4}.New(ev).EvaluateBatch(ctx, ms)
+	out := Config{Workers: 4}.New(ev).NewBatch(true).Evaluate(ctx, ms)
 	if len(out) != len(ms) {
 		t.Fatalf("batch length %d, want %d", len(out), len(ms))
 	}
 	for i := range out {
 		if !Cancelled(&out[i]) {
 			t.Fatalf("slot %d evaluated despite cancelled context: %+v", i, out[i])
+		}
+	}
+}
+
+// A Batch keeps its workers and result storage across calls: each call's
+// results match the serial engine, whatever the previous call evaluated,
+// and the workers (with their scratches) persist.
+func TestBatchReuse(t *testing.T) {
+	sp, ev := toy()
+	serial := New(ev)
+	for _, cacheEntries := range []int{0, 1 << 12} {
+		b := Config{Workers: 4, CacheEntries: cacheEntries}.New(ev).NewBatch(true)
+		var scratches []*nest.Scratch
+		for call, n := range []int{300, 7, 256, 1, 0, 300} {
+			ms := samples(sp, n, int64(10+call))
+			got := b.Evaluate(context.Background(), ms)
+			if len(got) != n {
+				t.Fatalf("cache=%d call %d: %d results, want %d", cacheEntries, call, len(got), n)
+			}
+			for i, m := range ms {
+				if want := serial.Evaluate(m); !reflect.DeepEqual(got[i], want) {
+					t.Fatalf("cache=%d call %d slot %d = %+v, want %+v", cacheEntries, call, i, got[i], want)
+				}
+			}
+			for i, w := range b.workers {
+				if i < len(scratches) && w.scratch != scratches[i] {
+					t.Fatalf("cache=%d call %d: worker %d scratch rebuilt", cacheEntries, call, i)
+				}
+			}
+			scratches = scratches[:0]
+			for _, w := range b.workers {
+				scratches = append(scratches, w.scratch)
+			}
+		}
+	}
+}
+
+// A batch built without memo neither reads nor fills the engine's cache: it
+// inserts nothing, and over a cache holding every mapping it hits nothing.
+func TestBatchBypassesCache(t *testing.T) {
+	sp, ev := toy()
+	met := &Counters{}
+	eng := Config{Workers: 4, CacheEntries: 1 << 12, Metrics: met}.New(ev)
+	ms := samples(sp, 200, 6)
+	b := eng.NewBatch(false)
+	b.Evaluate(context.Background(), ms)
+	if n := eng.cache.len(); n != 0 {
+		t.Fatalf("uncached batch inserted %d cache entries", n)
+	}
+	for _, m := range ms {
+		eng.Evaluate(m)
+	}
+	hits := met.Snapshot().CacheHits
+	got := b.Evaluate(context.Background(), ms)
+	if s := met.Snapshot(); s.CacheHits != hits {
+		t.Fatalf("uncached batch hit the cache %d times", s.CacheHits-hits)
+	}
+	for i, m := range ms {
+		if want := ev.Evaluate(m); !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("slot %d = %+v, want %+v", i, got[i], want)
+		}
+	}
+}
+
+// A warm batch on a cache-less engine allocates nothing per mapping: at one
+// worker nothing at all, in parallel one closure per goroutine it starts
+// (the caller's goroutine is the first worker).
+func TestBatchAllocs(t *testing.T) {
+	sp, ev := toy()
+	smp := sp.NewSampler()
+	rng := rand.New(rand.NewSource(9))
+	ms := make([]*mapping.Mapping, 256)
+	for i := range ms {
+		ms[i] = &mapping.Mapping{}
+		smp.SampleInto(rng, ms[i])
+	}
+	for _, tc := range []struct{ workers, allocs int }{{1, 0}, {2, 1}, {4, 3}} {
+		b := Config{Workers: tc.workers}.New(ev).NewBatch(true)
+		b.Evaluate(context.Background(), ms)
+		if allocs := testing.AllocsPerRun(20, func() { b.Evaluate(context.Background(), ms) }); allocs > float64(tc.allocs) {
+			t.Errorf("workers=%d: warm batch allocates %v times, want <= %d", tc.workers, allocs, tc.allocs)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestBatchIsolatesPanickingMapping(t *testing.T) {
 		}
 		return ev.Evaluate(m)
 	}
-	out := eng.EvaluateBatch(context.Background(), ms)
+	out := eng.NewBatch(true).Evaluate(context.Background(), ms)
 	if !Panicked(&out[0]) {
 		t.Errorf("poisoned slot: %+v", out[0])
 	}
@@ -162,5 +163,34 @@ func TestPanicDegradationIsCached(t *testing.T) {
 	}
 	if want := panicRetries + 1; calls != want {
 		t.Errorf("model called %d times, want %d (second lookup must hit the cache)", calls, want)
+	}
+}
+
+// A panic inside a batch rebuilds the scratch of the batch's persistent
+// worker, and the same batch keeps evaluating correctly afterwards.
+func TestBatchPanicRebuildsPersistentScratch(t *testing.T) {
+	eng, m := guardFixture(t, Config{Workers: 1})
+	ev := eng.Evaluator()
+	want := ev.Evaluate(m)
+	b := eng.NewBatch(true)
+	b.Evaluate(context.Background(), []*mapping.Mapping{m})
+	before := b.workers[0].scratch
+	calls := 0
+	eng.evalHook = func(mm *mapping.Mapping) nest.Cost {
+		calls++
+		if calls == 1 {
+			panic("scratch corrupted")
+		}
+		return ev.Evaluate(mm)
+	}
+	if c := b.Evaluate(context.Background(), []*mapping.Mapping{m}); !c[0].Valid {
+		t.Fatalf("batch did not recover: %q", c[0].Reason)
+	}
+	if b.workers[0].scratch == before {
+		t.Fatal("panic did not rebuild the worker's scratch")
+	}
+	eng.evalHook = nil
+	if c := b.Evaluate(context.Background(), []*mapping.Mapping{m}); !reflect.DeepEqual(c[0], want) {
+		t.Errorf("post-panic batch cost %+v, want %+v", c[0], want)
 	}
 }

@@ -19,7 +19,7 @@ type Instruments struct {
 	Counters *Counters
 	// EvalHist records sampled model-evaluation latency in seconds.
 	EvalHist *obs.Histogram
-	// BatchHist records EvaluateBatch wall time in seconds.
+	// BatchHist records Batch.Evaluate wall time in seconds.
 	BatchHist *obs.Histogram
 	// SearchHist records per-search wall time in seconds.
 	SearchHist *obs.Histogram
@@ -45,7 +45,7 @@ func NewInstruments() *Instruments {
 			"Model evaluation latency (sampled; see engine.Config.LatencySampleEvery).",
 			obs.LatencyBuckets()),
 		BatchHist: obs.NewHistogram("ruby_batch_latency_seconds",
-			"EvaluateBatch wall time.", obs.LatencyBuckets()),
+			"Engine batch (Batch.Evaluate) wall time.", obs.LatencyBuckets()),
 		SearchHist: obs.NewHistogram("ruby_search_wall_seconds",
 			"Per-search wall time.", obs.LatencyBuckets()),
 		ObjectiveHist: obs.NewHistogram("ruby_search_best_edp",

@@ -19,7 +19,7 @@ type Metrics interface {
 	// the uncached evaluations; implementations must stay cheap and
 	// allocation-free — it runs on the search hot path.
 	EvalLatency(d time.Duration)
-	// BatchLatency reports the wall time of one EvaluateBatch call of n
+	// BatchLatency reports the wall time of one Batch.Evaluate call of n
 	// mappings (called once per batch, not per evaluation).
 	BatchLatency(d time.Duration, n int)
 	// Improvement is called when a search's incumbent best improves, with

@@ -807,15 +807,37 @@ func (e *Enumerator) RestrictLeading(lo, hi int) error {
 // Next returns the next mapping of the enumeration, or nil once exhausted.
 // Every returned mapping is freshly allocated (its factor slices alias the
 // enumerator's precomputed chains, which are never mutated), so callers may
-// retain and batch them.
+// retain and batch them. Scans that do not keep the mappings use NextInto.
 func (e *Enumerator) Next() *mapping.Mapping {
-	if e.done {
+	m := &mapping.Mapping{}
+	if !e.NextInto(m) {
 		return nil
 	}
-	m := &mapping.Mapping{Factors: make(map[string][]int, len(e.dims)), Perms: e.perms}
+	return m
+}
+
+// NextInto rewrites m in place as the next mapping of the enumeration and
+// advances, reporting false (m untouched) once exhausted. It clears and
+// reuses m's factor map and recycles its lowering (Invalidate), so an
+// exhaustive scan over a fixed set of mappings allocates nothing per
+// mapping; m's factor slices and loop orders alias the enumerator's
+// immutable tables, so a caller keeping the mapping past its next rewrite
+// must Clone it. The caller must own m exclusively.
+//
+//ruby:hotpath
+func (e *Enumerator) NextInto(m *mapping.Mapping) bool {
+	if e.done {
+		return false
+	}
+	m.Invalidate()
+	if m.Factors == nil {
+		m.Factors = make(map[string][]int, len(e.dims))
+	}
+	clear(m.Factors)
 	for di, d := range e.dims {
 		m.Factors[d] = e.chains[di][e.idx[di]]
 	}
+	m.Perms, m.Keep = e.perms, nil
 	// Odometer increment. The leading digit runs over the (possibly
 	// restricted) window [lo0, hi0).
 	k := len(e.dims) - 1
@@ -834,7 +856,7 @@ func (e *Enumerator) Next() *mapping.Mapping {
 	if k < 0 {
 		e.done = true
 	}
-	return m
+	return true
 }
 
 // Done reports whether the enumeration is exhausted.

@@ -2,9 +2,11 @@ package mapspace
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ruby/internal/arch"
+	"ruby/internal/mapping"
 	"ruby/internal/workload"
 )
 
@@ -163,5 +165,65 @@ func TestRestrictLeadingCheckpointResume(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("resumed shard scan diverges at %d: %q != %q", i, got[i], want[i])
 		}
+	}
+}
+
+// NextInto rewrites one reused mapping through exactly the sequence Next
+// produces — unrestricted, restricted to a shard, and after a SetIndex
+// rewind — and lowers it afresh each time, without allocating once warm.
+func TestNextIntoMatchesNext(t *testing.T) {
+	s := shardSpace(t)
+	for _, r := range append([]ChainRange{{}}, s.ShardLeading(3)...) {
+		ref, en := s.NewEnumerator(), s.NewEnumerator()
+		if !r.Empty() {
+			if err := ref.RestrictLeading(r.Lo, r.Hi); err != nil {
+				t.Fatal(err)
+			}
+			if err := en.RestrictLeading(r.Lo, r.Hi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m := &mapping.Mapping{Factors: map[string][]int{"stale": {1}}}
+		n := 0
+		for want := ref.Next(); want != nil; want = ref.Next() {
+			if !en.NextInto(m) {
+				t.Fatalf("range %v: NextInto ended after %d mappings", r, n)
+			}
+			if got, w := chainKey(s, m.Factors), chainKey(s, want.Factors); got != w || len(m.Factors) != len(want.Factors) {
+				t.Fatalf("range %v mapping %d: NextInto %s (%d dims), Next %s", r, n, got, len(m.Factors), w)
+			}
+			dm, err := m.Dense(s.Work, s.Arch, s.Slots())
+			if err != nil {
+				t.Fatal(err)
+			}
+			wd, err := want.Dense(s.Work, s.Arch, s.Slots())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dm.Cum, wd.Cum) {
+				t.Fatalf("range %v mapping %d: stale lowering", r, n)
+			}
+			n++
+		}
+		if en.NextInto(m) || !en.Done() {
+			t.Fatalf("range %v: NextInto continues past the end", r)
+		}
+	}
+
+	// Rewind and replay without allocating.
+	en, m := s.NewEnumerator(), &mapping.Mapping{}
+	start := en.Index()
+	en.NextInto(m)
+	m.Dense(s.Work, s.Arch, s.Slots())
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := en.SetIndex(start, false); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64 && en.NextInto(m); i++ {
+			m.Dense(s.Work, s.Arch, s.Slots())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm NextInto + lowering allocates %v times per 64 mappings", allocs)
 	}
 }

@@ -303,7 +303,7 @@ func (f *FusedEvaluator) BindConsumer(cm *mapping.Mapping) bool {
 	for d := 0; d < f.cp.nDims; d++ {
 		cCycles *= f.cp.cyclesAlong(cdm, d, f.cs)
 	}
-	c.cost = f.cp.finish(f.cs, cCycles, cc.NoCEnergyPJ-clc.noc).cloneInto(c.buf)
+	c.cost = f.cp.finish(f.cs, cCycles, cc.NoCEnergyPJ-clc.noc).CloneInto(c.buf)
 	c.elided = clc.rp
 	return true
 }

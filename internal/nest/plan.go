@@ -227,12 +227,20 @@ func (c Cost) Clone() Cost {
 	if c.LevelReads == nil {
 		return c
 	}
-	return c.cloneInto(make([]float64, 3*len(c.LevelReads)))
+	return c.CloneInto(make([]float64, 3*len(c.LevelReads)))
 }
 
-// cloneInto is Clone into caller-owned storage b of 3*len(c.LevelReads)
-// words, which the returned Cost's per-level slices then alias.
-func (c Cost) cloneInto(b []float64) Cost {
+// CloneInto is Clone into caller-owned storage b of at least
+// 3*len(c.LevelReads) words, which the returned Cost's per-level slices then
+// alias: a holder that keeps one buffer per result (a reusable batch, a
+// double-buffered incumbent) detaches costs without allocating. A cost
+// without per-level slices (an invalid verdict) is returned as is.
+//
+//ruby:hotpath
+func (c Cost) CloneInto(b []float64) Cost {
+	if c.LevelReads == nil {
+		return c
+	}
 	n := len(c.LevelReads)
 	copy(b[:n], c.LevelReads)
 	copy(b[n:2*n], c.LevelWrites)

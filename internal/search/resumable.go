@@ -121,11 +121,13 @@ func restoreBest(st *checkpoint.SearchState, sp *mapspace.Space, res *Result) er
 const randomBatch = 256
 
 // RandomSearcher is the checkpointable form of the paper's random-sampling
-// search. Mappings are drawn serially from one serializable RNG and
-// evaluated in parallel batches through the engine; incumbent updates and
-// the termination criteria are applied in draw order, so the outcome is
-// identical to a serial scan of the same sequence — independent of worker
-// count, and reproducible across interrupt/resume.
+// search. Mappings are drawn serially from one serializable RNG into a
+// reused batch and evaluated in parallel through one reusable engine batch,
+// which keeps the engine's memo cache (random sampling does revisit
+// mappings); incumbent updates and the termination criteria are applied in
+// draw order, so the outcome is identical to a serial scan of the same
+// sequence — independent of worker count, and reproducible across
+// interrupt/resume.
 type RandomSearcher struct {
 	sp  *mapspace.Space
 	eng *engine.Engine
@@ -135,6 +137,7 @@ type RandomSearcher struct {
 	rnd   *rand.Rand
 	smp   *mapspace.Sampler
 	batch []*mapping.Mapping
+	eval  *engine.Batch
 
 	res       *Result
 	noImprove int64
@@ -151,7 +154,7 @@ func NewRandom(sp *mapspace.Space, eng *engine.Engine, opt Options) *RandomSearc
 	s := &RandomSearcher{
 		sp: sp, eng: eng, opt: opt,
 		rng: checkpoint.NewRNG(opt.Seed),
-		smp: sp.NewSampler(),
+		smp: sp.NewSampler(), eval: eng.NewBatch(true),
 		res: &Result{}, start: time.Now(),
 	}
 	s.rnd = rand.New(s.rng)
@@ -206,14 +209,14 @@ func (s *RandomSearcher) Step(ctx context.Context) (bool, error) {
 	// Draw the batch; remember the RNG state to roll back to on
 	// cancellation (the serialized draw position must never run ahead of
 	// the committed counters).
-	preBatch := s.rng.Clone()
+	preBatch := *s.rng
 	for i := 0; i < n; i++ {
 		s.smp.SampleInto(s.rnd, s.batch[i])
 	}
-	costs := s.eng.EvaluateBatch(ctx, s.batch[:n])
+	costs := s.eval.Evaluate(ctx, s.batch[:n])
 	for i := range costs {
 		if engine.Cancelled(&costs[i]) {
-			*s.rng = *preBatch
+			*s.rng = preBatch
 			return false, ctxErr(ctx)
 		}
 	}
@@ -471,6 +474,11 @@ const exhaustiveBatch = 256
 // batches while incumbents are selected serially in enumeration order, and
 // the enumerator's odometer position is part of the snapshot, so a resumed
 // scan continues where it stopped without re-scanning the prefix.
+//
+// The scan evaluates in place: the enumerator rewrites one batch of reused
+// mappings (NextInto), and one reusable engine batch evaluates them into
+// its own result storage, bypassing the memo cache. Only an improvement
+// allocates, to detach the new incumbent from the reused storage.
 type ExhaustiveSearcher struct {
 	sp          *mapspace.Space
 	eng         *engine.Engine
@@ -478,7 +486,8 @@ type ExhaustiveSearcher struct {
 	maxMappings int64
 
 	en    *mapspace.Enumerator
-	batch []*mapping.Mapping
+	batch []*mapping.Mapping // grown to exhaustiveBatch, rewritten in place
+	eval  *engine.Batch
 
 	res         *Result
 	taken       int64
@@ -494,9 +503,11 @@ type ExhaustiveSearcher struct {
 func NewExhaustive(sp *mapspace.Space, eng *engine.Engine, opt Options, maxMappings int64) *ExhaustiveSearcher {
 	s := &ExhaustiveSearcher{
 		sp: sp, eng: eng, opt: opt, maxMappings: maxMappings,
-		en:    sp.NewEnumerator(),
-		batch: make([]*mapping.Mapping, 0, exhaustiveBatch),
-		res:   &Result{}, start: time.Now(),
+		en: sp.NewEnumerator(),
+		// An enumeration never visits a mapping twice, so a memo-cache
+		// lookup could never hit: the scan bypasses the cache.
+		eval: eng.NewBatch(false),
+		res:  &Result{}, start: time.Now(),
 	}
 	if !opt.Shard.Empty() {
 		s.restrictErr = s.en.RestrictLeading(opt.Shard.Lo, opt.Shard.Hi)
@@ -524,19 +535,21 @@ func (s *ExhaustiveSearcher) Step(ctx context.Context) (bool, error) {
 
 	preIdx, preDone := s.en.Index(), s.en.Done()
 	preTaken := s.taken
-	s.batch = s.batch[:0]
-	for len(s.batch) < cap(s.batch) {
+	n := 0
+	for n < exhaustiveBatch {
 		if s.maxMappings > 0 && s.taken >= s.maxMappings {
 			break
 		}
-		m := s.en.Next()
-		if m == nil {
+		if n == len(s.batch) {
+			s.batch = append(s.batch, &mapping.Mapping{})
+		}
+		if !s.en.NextInto(s.batch[n]) {
 			break
 		}
-		s.batch = append(s.batch, m)
+		n++
 		s.taken++
 	}
-	if len(s.batch) == 0 {
+	if n == 0 {
 		s.done = true
 		if s.res.Best != nil {
 			met.BestObjective(s.opt.Objective.Value(&s.res.BestCost))
@@ -545,10 +558,11 @@ func (s *ExhaustiveSearcher) Step(ctx context.Context) (bool, error) {
 		return true, nil
 	}
 
-	costs := s.eng.EvaluateBatch(ctx, s.batch)
+	costs := s.eval.Evaluate(ctx, s.batch[:n])
 	for i := range costs {
 		if engine.Cancelled(&costs[i]) {
-			// Roll the enumeration back to the batch start.
+			// Roll the enumeration back to the batch start; the next Step
+			// rewrites the reused mappings.
 			if err := s.en.SetIndex(preIdx, preDone); err != nil {
 				return false, err
 			}
