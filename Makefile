@@ -32,13 +32,15 @@ race-dist:
 
 # Batch-evaluation gate: the engine's reusable batch (persistent worker
 # scratches, shared result storage), the in-place exhaustive scan, the
-# random searcher on the same batch, and the kill-and-resume and
-# cancellation tests, under the race detector three times over. The
+# random searcher on the same batch, the kill-and-resume and cancellation
+# tests, and the samplers and cache keys (the compiled sampling table one
+# Space shares across goroutines, the per-worker cache-key buffers, the
+# draw and cache goldens) under the race detector three times over. The
 # selection keeps it well under a minute; the whole search package takes
 # far longer under -race.
-RACE_SEARCH = ^Test(EvaluateBatch|Batch|Exhaustive|ShardedExhaustive|Random|Resumable|KillAndResume|CancelMidStep)
+RACE_SEARCH = ^Test(EvaluateBatch|Batch|Exhaustive|ShardedExhaustive|Random|Resumable|KillAndResume|CancelMidStep|Sampler|CacheKey)
 race-search:
-	$(GO) test -race -count=3 -run '$(RACE_SEARCH)' ./internal/engine/... ./internal/search/...
+	$(GO) test -race -count=3 -run '$(RACE_SEARCH)' ./internal/engine/... ./internal/mapspace/... ./internal/search/...
 
 # Evaluation-kernel microbenchmarks (compiled plan vs legacy, engine cache,
 # sampler pipeline, delta-evaluation neighbor steps, cost attribution,
@@ -58,7 +60,7 @@ bench:
 # a >20% growth in the guided mapper's evals-to-convergence. benchjson folds
 # the three runs (fastest time, highest allocations and metrics). Does not
 # rewrite the committed snapshot or history.
-BENCH_GATE = BenchmarkEvaluateCompiled,BenchmarkEvaluateConv,BenchmarkSampleEvaluatePipeline,BenchmarkAttribute,BenchmarkFusedEvaluateProducer,BenchmarkExhaustiveScan,BenchmarkGuidedConverge:convergence_evals
+BENCH_GATE = BenchmarkEvaluateCompiled,BenchmarkEvaluateConv,BenchmarkSampleEvaluatePipeline,BenchmarkSampleRubyS,BenchmarkEngineCachedSearch,BenchmarkAttribute,BenchmarkFusedEvaluateProducer,BenchmarkExhaustiveScan,BenchmarkGuidedConverge:convergence_evals
 bench-gate:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 2s -count 3 . \
 		| $(GO) run ./tools/benchjson -o '' -baseline BENCH_eval.json -gate '$(BENCH_GATE)'

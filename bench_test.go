@@ -170,6 +170,28 @@ func BenchmarkEngineCached(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineCachedSearch measures the shape of a /v1/search layer
+// request: a fresh engine with the server's per-request memo cache and a
+// one-thread 3000-evaluation random search of ResNet-50's 3x3 layer under
+// Ruby-S on the Eyeriss-like array, unconstrained as a request without a
+// constraints field. Nearly every draw misses the cache, so this is the
+// draw, key, evaluate and insert loop; ns/eval is the per-evaluation cost.
+func BenchmarkEngineCachedSearch(b *testing.B) {
+	b.ReportAllocs()
+	layer := workloads.ResNet50()[3]
+	a := arch.EyerissLike(14, 12, 128)
+	ev := nest.MustEvaluator(layer.Work, a)
+	sp := mapspace.New(layer.Work, a, mapspace.RubyS, mapspace.Constraints{})
+	opt := search.Options{Seed: 1, Threads: 1, MaxEvaluations: 3000}
+	var evals int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := engine.Config{CacheEntries: 1 << 15}.New(ev)
+		evals += search.Random(context.Background(), sp, eng, opt).Evaluated
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/eval")
+}
+
 // BenchmarkEvaluateConv measures single-mapping evaluation throughput on a
 // 7-dimensional convolution — the inner loop of every search.
 func BenchmarkEvaluateConv(b *testing.B) {

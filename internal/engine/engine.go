@@ -6,11 +6,11 @@
 //
 //   - cancellation: batch evaluation honors a context, so searches stop
 //     promptly on deadlines and client disconnects;
-//   - memoization: an optional concurrency-safe cache keyed by the canonical
-//     mapping signature (mapping.Key) stops random sampling in small or
-//     heavily constrained mapspaces from re-paying full model cost for
-//     duplicate samples (exhaustive scans, which never repeat a mapping,
-//     bypass it: see NewBatch);
+//   - memoization: an optional concurrency-safe cache keyed by the mapping's
+//     lowering (mapping.Dense, encoded into a reusable buffer) stops random
+//     sampling in small or heavily constrained mapspaces from re-paying full
+//     model cost for duplicate samples (exhaustive scans, which never repeat
+//     a mapping, bypass it: see NewBatch);
 //   - instrumentation: a pluggable Metrics hook counts evaluations, validity,
 //     cache hits, improvement events and per-search wall time, with an
 //     atomic default implementation exportable via expvar/JSON.
@@ -67,6 +67,7 @@ const defaultLatencySampleEvery = 64
 type Engine struct {
 	ev          *nest.Evaluator
 	cache       *memoCache
+	firstSlot   []int // per level, its temporal slot (cache keys)
 	metrics     Metrics
 	workers     int
 	sampleEvery uint64 // 0 = latency sampling disabled
@@ -97,6 +98,10 @@ func (c Config) New(ev *nest.Evaluator) *Engine {
 	}
 	if c.CacheEntries > 0 {
 		e.cache = newMemoCache(c.CacheEntries)
+		e.firstSlot = make([]int, len(ev.Arch.Levels))
+		for li := range e.firstSlot {
+			e.firstSlot[li] = mapping.FirstSlotOfLevel(ev.Slots, li)
+		}
 	}
 	return e
 }
@@ -115,18 +120,21 @@ func (e *Engine) Metrics() Metrics { return e.metrics }
 
 // Evaluate runs one mapping through the cache and the model. Cached costs
 // are bit-identical to fresh ones: the model is deterministic, and the cache
-// key (mapping.Key) canonicalizes exactly the features the model reads.
-// The returned Cost shares its per-level slices with the cache; callers
-// treat costs as read-only (all existing consumers do). A panicking model
-// call is isolated, retried and — if it keeps panicking — degraded to an
-// invalid Cost with a PanicReason (see evalGuarded).
+// key — the mapping's lowering (memoized on the mapping), encoded into a
+// stack buffer — covers exactly what the model reads. A mapping that fails
+// to lower is evaluated uncached. The returned Cost shares its per-level
+// slices with the cache; callers treat costs as read-only (all existing
+// consumers do). A panicking model call is isolated, retried and — if it
+// keeps panicking — degraded to an invalid Cost with a PanicReason (see
+// evalGuarded).
 func (e *Engine) Evaluate(m *mapping.Mapping) nest.Cost {
-	if e.cache == nil {
+	var buf [256]byte
+	key, ok := e.cacheKey(buf[:0], m)
+	if !ok {
 		c := e.timedEval(m, nil, e.nEvals.Add(1))
 		e.metrics.Evaluation(c.Valid, false)
 		return c
 	}
-	key := m.Key(e.ev.Work, e.ev.Slots)
 	if c, ok := e.cache.get(key); ok {
 		e.metrics.Evaluation(c.Valid, true)
 		return c
@@ -135,6 +143,22 @@ func (e *Engine) Evaluate(m *mapping.Mapping) nest.Cost {
 	e.cache.put(key, c)
 	e.metrics.Evaluation(c.Valid, false)
 	return c
+}
+
+// cacheKey encodes m's memo-cache key into buf (see appendKey). It reports
+// false when the engine has no cache or m fails to lower: such a mapping has
+// no lowered form and is evaluated uncached.
+//
+//ruby:hotpath
+func (e *Engine) cacheKey(buf []byte, m *mapping.Mapping) ([]byte, bool) {
+	if e.cache == nil {
+		return buf, false
+	}
+	dn, err := m.Dense(e.ev.Work, e.ev.Arch, e.ev.Slots)
+	if err != nil {
+		return buf, false
+	}
+	return e.appendKey(buf, dn), true
 }
 
 // timedEval runs one guarded model call, timing every sampleEvery-th call
@@ -161,6 +185,7 @@ func (e *Engine) timedEval(m *mapping.Mapping, w *Worker, n uint64) nest.Cost {
 type Worker struct {
 	e       *Engine
 	scratch *nest.Scratch
+	key     []byte // cache-key buffer, reused across evaluations
 	n       uint64 // uncached evaluations; drives latency sampling
 }
 
@@ -184,13 +209,16 @@ func (w *Worker) Evaluate(m *mapping.Mapping) nest.Cost {
 // entry, and scratch-backed results are overwritten by the worker's next
 // evaluation. Callers that retain a cost across evaluations (e.g. a search's
 // running best) must Clone it. This is the zero-allocation steady-state path
-// for cache-less tight loops.
+// for cache-less tight loops; with a cache, the key is encoded into the
+// worker's own buffer, so a hit allocates nothing either, and a miss
+// allocates the cache entry (key string and cost).
 func (w *Worker) EvaluateShared(m *mapping.Mapping) nest.Cost {
 	e := w.e
-	if e.cache == nil {
+	key, ok := e.cacheKey(w.key[:0], m)
+	if !ok {
 		return w.evaluate(m)
 	}
-	key := m.Key(e.ev.Work, e.ev.Slots)
+	w.key = key
 	if c, ok := e.cache.get(key); ok {
 		e.metrics.Evaluation(c.Valid, true)
 		return c

@@ -102,7 +102,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 func TestCacheResidencyBound(t *testing.T) {
 	c := newMemoCache(64) // 4 per shard
 	for i := 0; i < 10000; i++ {
-		c.put(key(i), nest.Cost{Valid: true})
+		c.put([]byte(key(i)), nest.Cost{Valid: true})
 	}
 	// Generational eviction keeps at most cur+prev = 2x capacity per shard,
 	// plus one slot of slack per shard for the entry that triggers rotation.
@@ -113,13 +113,13 @@ func TestCacheResidencyBound(t *testing.T) {
 
 func TestCachePromotionSurvivesRotation(t *testing.T) {
 	c := newMemoCache(cacheShards) // 1 entry per shard generation
-	c.put("hot", nest.Cost{Valid: true, Cycles: 42})
+	c.put([]byte("hot"), nest.Cost{Valid: true, Cycles: 42})
 	// The insert of "hot" fills its shard and rotates it into prev; a get
 	// must still find and re-promote it.
-	if _, ok := c.get("hot"); !ok {
+	if _, ok := c.get([]byte("hot")); !ok {
 		t.Fatal("entry lost immediately after rotation")
 	}
-	if v, ok := c.get("hot"); !ok || v.Cycles != 42 {
+	if v, ok := c.get([]byte("hot")); !ok || v.Cycles != 42 {
 		t.Fatalf("promoted entry lost or corrupted: %+v ok=%v", v, ok)
 	}
 }

@@ -11,9 +11,11 @@ import (
 // Dense is the integer-indexed lowering of one mapping against a fixed
 // (workload, architecture, slot list): cumulative tile sizes per dimension,
 // per-level loop orders as dimension ids, and per-level bypass bitmasks.
-// It is produced once per mapping (memoized on the Mapping) and read by the
-// compiled evaluation plan (internal/nest.Plan) without any string lookups
-// or map traffic.
+// It is produced once per mapping (memoized on the Mapping) — by Dense from
+// the string form, or by a generator that builds both at once and installs
+// it through Relower (the mapspace sampler) — and read by the compiled
+// evaluation plan (internal/nest.Plan) without any string lookups or map
+// traffic. The engine's memo cache keys on it too.
 //
 // Dimensions are identified by their index in the workload's declaration
 // order; roles by the bit 1<<role (see RoleBit).
@@ -80,10 +82,10 @@ type denseMemo struct {
 }
 
 // Dense returns the mapping's lowered form for the given evaluator context,
-// computing and memoizing it on first use. The same mutation invariant as
-// Key applies: a mapping that has been lowered must not be mutated in place
-// except through Invalidate (which SampleInto-style reusers call) or the
-// Set* patch methods below (which mapspace.Move uses).
+// computing and memoizing it on first use. A mapping that has been lowered
+// must not be mutated in place except through Invalidate or Relower (which
+// in-place generators call) or the Set* patch methods below (which
+// mapspace.Move uses).
 //
 //ruby:hotpath
 func (m *Mapping) Dense(w *workload.Workload, a *arch.Arch, slots []Slot) (*Dense, error) {
@@ -97,6 +99,36 @@ func (m *Mapping) Dense(w *workload.Workload, a *arch.Arch, slots []Slot) (*Dens
 		m.spare = spare // keep the storage for a future successful lowering
 		return nil, err
 	}
+	m.install(w, a, slots, d)
+	return d, nil
+}
+
+// Relower drops m's lowering and installs, as its lowering for the given
+// evaluator context, storage the caller then fills in place — for a
+// generator that rewrites the mapping and builds its lowering in the same
+// pass (the mapspace sampler), so no draw runs Dense's validation and
+// lowering from strings. The previous lowering's storage is recycled as in
+// Dense. The returned form has the right shape, an empty KeepMask and
+// stale Cum and Perm rows: before anything reads the mapping the caller
+// must write every dimension's Cum row (SetChainRow), every level's Perm
+// row of dimension ids and any bypass overrides (SetKeepMask), so that the
+// result equals what Dense would build from the rewritten mapping. The
+// single-owner contract of Invalidate applies.
+//
+//ruby:hotpath
+func (m *Mapping) Relower(w *workload.Workload, a *arch.Arch, slots []Slot) *Dense {
+	m.Invalidate()
+	d := denseStorage(m.spare, len(w.Dims), len(slots), len(a.Levels))
+	m.spare = nil
+	m.install(w, a, slots, d)
+	return d
+}
+
+// install memoizes d as m's lowering for the evaluator context, recycling
+// the spare memo record.
+//
+//ruby:hotpath
+func (m *Mapping) install(w *workload.Workload, a *arch.Arch, slots []Slot, d *Dense) {
 	memo := m.spareMemo
 	if memo == nil {
 		memo = &denseMemo{}
@@ -104,7 +136,24 @@ func (m *Mapping) Dense(w *workload.Workload, a *arch.Arch, slots []Slot) (*Dens
 	m.spareMemo = nil
 	memo.w, memo.a, memo.nslots, memo.d = w, a, len(slots), d
 	m.dense.Store(memo)
-	return d, nil
+}
+
+// denseStorage returns recycle when it has the (dims, slots, levels) shape
+// and fresh storage otherwise, with an empty KeepMask either way.
+//
+//ruby:hotpath
+func denseStorage(recycle *Dense, nd, ns, nl int) *Dense {
+	d := recycle
+	if d == nil || d.NDims != nd || d.NSlots != ns || len(d.Perm) != nl*nd {
+		d = &Dense{
+			NDims:  nd,
+			NSlots: ns,
+			Cum:    make([]int, nd*(ns+1)),
+			Perm:   make([]int16, nl*nd),
+		}
+	}
+	d.KeepMask = d.KeepMask[:0]
+	return d
 }
 
 // UpdatableDense returns the memoized lowered form when it was computed
@@ -121,15 +170,10 @@ func (m *Mapping) UpdatableDense(w *workload.Workload, a *arch.Arch, slots []Slo
 	return nil
 }
 
-// ResetKey clears only the memoized canonical key, keeping the dense form.
-// Moves that patch the dense form in place call this so Key stays consistent
-// with the mutated mapping.
-func (m *Mapping) ResetKey() { m.key.Store(nil) }
-
-// Invalidate clears the memoized key and dense forms after an in-place
-// mutation. The dense storage (and its memo record) is recycled into the
-// next lowering so that sampler loops reusing one Mapping stay
-// allocation-free at steady state. Invalidate-and-reuse is single-owner by
+// Invalidate clears the memoized dense form after an in-place mutation.
+// The dense storage (and its memo record) is recycled into the next
+// lowering so that sampler loops reusing one Mapping stay allocation-free
+// at steady state. Invalidate-and-reuse is single-owner by
 // design: it must not race with concurrent readers of the same Mapping
 // (every searcher that shares mappings across goroutines clones them first).
 func (m *Mapping) Invalidate() {
@@ -138,13 +182,13 @@ func (m *Mapping) Invalidate() {
 		m.spareMemo = dm
 	}
 	m.dense.Store(nil)
-	m.key.Store(nil)
 }
 
 // SetChainRow recomputes dimension di's cumulative-tile row in place for the
-// new outermost-first factor chain fs, exactly as densify lowers it. The
-// caller guarantees fs is a structurally valid chain over bound (Move
-// proposals are valid by construction).
+// new outermost-first factor chain fs, exactly as NewChain computes Cum (it
+// is how densify lowers each chain). The caller guarantees fs is a
+// structurally valid chain over bound (sampled chains and Move proposals are
+// valid by construction).
 //
 //ruby:hotpath
 func (dn *Dense) SetChainRow(di, bound int, fs []int) {
@@ -213,17 +257,7 @@ func (dn *Dense) TruncKeepMask(n int) {
 //ruby:hotpath
 func (m *Mapping) densify(w *workload.Workload, a *arch.Arch, slots []Slot, recycle *Dense) (*Dense, error) {
 	nd, ns, nl := len(w.Dims), len(slots), len(a.Levels)
-	stride := ns + 1
-	d := recycle
-	if d == nil || d.NDims != nd || d.NSlots != ns || len(d.Perm) != nl*nd {
-		d = &Dense{
-			NDims:  nd,
-			NSlots: ns,
-			Cum:    make([]int, nd*stride),
-			Perm:   make([]int16, nl*nd),
-		}
-	}
-	d.KeepMask = d.KeepMask[:0]
+	d := denseStorage(recycle, nd, ns, nl)
 
 	chainsErr := func(err error) (*Dense, error) {
 		return nil, &DenseError{Stage: "chains", Err: err} //ruby:allow hotpath -- invalid-mapping exit; the steady state returns the memoized form
@@ -263,19 +297,7 @@ func (m *Mapping) densify(w *workload.Workload, a *arch.Arch, slots []Slot, recy
 			return chainsErr(fmt.Errorf("mapping: dim %q: %w", dim.Name,
 				fmt.Errorf("factor: chain leaves residual %d over dimension %d", r, dim.Bound)))
 		}
-		// Cumulative tile sizes, exactly as NewChain computes them.
-		row := d.Cum[di*stride : di*stride+stride]
-		row[ns] = 1
-		prod := 1
-		for i := ns - 1; i >= 0; i-- {
-			if prod < dim.Bound {
-				prod *= fs[i]
-			}
-			if prod > dim.Bound {
-				prod = dim.Bound
-			}
-			row[i] = prod
-		}
+		d.SetChainRow(di, dim.Bound, fs)
 	}
 
 	permsErr := func(err error) (*Dense, error) {

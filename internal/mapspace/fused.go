@@ -182,30 +182,32 @@ func (s *Space) sampleFusedExtent(rng *rand.Rand, advance, bound int, dc *divCac
 	return 1
 }
 
-// sampleFusedChainInto draws one fused dimension's outermost-first chain
-// into fs, consuming from the shared spatial budget: extent first, then
-// perfect inner factors with the fusion slot absorbing, then kind-ruled
-// outer factors with the DRAM slot absorbing.
+// sampleFusedChainInto draws fused dimension di's outermost-first chain
+// into fs, consuming from the shared spatial budget: extent first (a
+// divisor of the dimension's advance), then perfect inner factors with the
+// fusion slot absorbing, then kind-ruled outer factors with the DRAM slot
+// absorbing.
 //
 //ruby:hotpath
-func (s *Space) sampleFusedChainInto(rng *rand.Rand, d string, advance int, budget, fs []int, dc *divCache) {
-	b := s.Work.Bound(d)
+func (s *Space) sampleFusedChainInto(rng *rand.Rand, di, advance int, budget, fs []int, dc *divCache) {
+	b := s.Work.Dims[di].Bound
+	rules := s.rules.row(di, len(s.slots))
 	e := s.sampleFusedExtent(rng, advance, b, dc)
 
 	// Inner region: perfect divisors of the extent; the fusion slot absorbs
 	// what the draws leave so the inner product equals e exactly.
 	r := e
 	for i := len(s.slots) - 1; i > s.fuseSlot; i-- {
-		sl := s.slots[i]
+		fl := rules[i]
 		f := 1
 		if r > 1 {
-			if sl.Spatial() {
-				if s.Cons.allowed(sl.Kind, d) {
+			if fl&ruleSpatial != 0 {
+				if fl&ruleAllowed != 0 {
 					max := r
 					if budget[i] < max {
 						max = budget[i]
 					}
-					if s.Cons.required(sl.Kind, d) {
+					if fl&ruleRequired != 0 {
 						f = s.divisorGE2LE(rng, r, max, dc)
 					} else {
 						f = s.cappedDivisor(rng, r, max, dc)
@@ -220,7 +222,7 @@ func (s *Space) sampleFusedChainInto(rng *rand.Rand, d string, advance int, budg
 			}
 		}
 		fs[i] = f
-		if sl.Spatial() && f > 1 {
+		if fl&ruleSpatial != 0 && f > 1 {
 			budget[i] /= f
 		}
 		r /= f
@@ -230,14 +232,14 @@ func (s *Space) sampleFusedChainInto(rng *rand.Rand, d string, advance int, budg
 	// Outer region: the kind's usual rules over the remaining coverage.
 	r = factor.CeilDiv(b, e)
 	for i := s.fuseSlot - 1; i >= 1; i-- {
-		sl := s.slots[i]
-		f := s.sampleFactor(rng, sl, d, r, budget[i], s.requiredOuter(d, i), dc)
+		fl := rules[i]
+		f := s.drawFactor(rng, fl, r, budget[i], dc)
 		fs[i] = f
-		if sl.Spatial() && f > 1 {
+		if fl&ruleSpatial != 0 && f > 1 {
 			budget[i] /= f
 		}
 		if r > 1 {
-			if sl.Spatial() && !s.Kind.imperfectSpatial() || !sl.Spatial() && !s.Kind.imperfectTemporal() {
+			if fl&ruleImperfect == 0 {
 				r /= f
 			} else {
 				r = factor.CeilDiv(r, f)

@@ -190,6 +190,9 @@ type Space struct {
 	// is fused (Cons.FuseTile non-empty); -1 otherwise.
 	fuseSlot int
 
+	// rules is the compiled sampling table every draw path reads.
+	rules sampleRules
+
 	// divCache memoizes factor.Divisors per dimension residual: random
 	// sampling hits the same few residuals millions of times.
 	//ruby:guards divCache
@@ -216,6 +219,7 @@ func New(w *workload.Workload, a *arch.Arch, kind Kind, cons Constraints) *Space
 		}
 		s.fuseSlot = mapping.FirstSlotOfLevel(s.slots, lvl)
 	}
+	s.rules = s.compileRules()
 	return s
 }
 
@@ -354,23 +358,26 @@ func (s *Space) TotalChainCount() uint64 {
 // absorbs whatever residual remains, exactly as in the chain formulation.
 // Spatial factors additionally respect a shared per-slot fanout budget so
 // that most samples pass the evaluator's fanout check. Permutations are
-// uniform random unless FixedPerms is set.
+// uniform random unless FixedPerms is set. The mapping comes back lowered
+// for (Work, Arch, Slots()), as from Sampler.SampleInto.
 //
 // Sampled mappings are structurally valid but may still violate buffer
 // capacities; the caller's search loop filters those, mirroring Timeloop's
 // generate-then-filter design.
 func (s *Space) Sample(rng *rand.Rand) *mapping.Mapping {
 	m := &mapping.Mapping{}
-	s.sampleInto(rng, m, make([]int, len(s.slots)), append([]string(nil), s.dimNames...), nil)
+	s.sampleInto(rng, m, make([]int, len(s.slots)), make([]int, len(s.dimNames)), nil)
 	return m
 }
 
-// Sampler owns the per-goroutine scratch for repeated in-place sampling.
-// One Sampler per goroutine; the underlying Space stays shared.
+// Sampler owns the per-goroutine scratch for repeated in-place sampling:
+// the fanout budget, the dimension visiting order and a divisor cache. One
+// Sampler per goroutine; the underlying Space, whose compiled sampling rules
+// every sampler reads, stays shared.
 type Sampler struct {
 	sp     *Space
 	budget []int
-	dims   []string
+	order  []int
 	dc     *divCache
 }
 
@@ -379,90 +386,94 @@ func (s *Space) NewSampler() *Sampler {
 	return &Sampler{
 		sp:     s,
 		budget: make([]int, len(s.slots)),
-		dims:   append([]string(nil), s.dimNames...),
+		order:  make([]int, len(s.dimNames)),
 		dc:     s.newDivCache(),
 	}
 }
 
-// SampleInto redraws m in place, reusing its factor slices and perm storage,
-// and pre-lowers the result to its dense form so the evaluation pipeline
-// downstream stays allocation-free at steady state. The random draw sequence
-// is identical to Sample's: a seeded search produces the same mappings
-// whichever entry point it uses. The caller must own m exclusively (clone
-// before sharing across goroutines).
+// SampleInto redraws m in place, reusing its factor slices, perm storage and
+// lowering, and writes the lowered form (cumulative tiles, loop-order ids,
+// bypass masks) as it draws, so the evaluation pipeline downstream neither
+// lowers the mapping from strings nor allocates at steady state. The random
+// draw sequence is identical to Sample's: a seeded search produces the same
+// mappings whichever entry point it uses. The caller must own m exclusively
+// (clone before sharing across goroutines).
 //
 //ruby:hotpath
 func (sm *Sampler) SampleInto(rng *rand.Rand, m *mapping.Mapping) {
-	s := sm.sp
-	copy(sm.dims, s.dimNames)
-	s.sampleInto(rng, m, sm.budget, sm.dims, sm.dc)
-	m.Dense(s.Work, s.Arch, s.slots) // structurally valid by construction
+	sm.sp.sampleInto(rng, m, sm.budget, sm.order, sm.dc)
 }
 
-// sampleInto is the sampling core behind Sample and Sampler.SampleInto.
-// budget and dims are caller-owned scratch; dims must hold the dimension
-// names in declaration order on entry.
+// sampleInto is the sampling core behind Sample and Sampler.SampleInto,
+// drawing m and its lowering together from the compiled rules. budget and
+// order are caller-owned scratch (one entry per slot and per dimension).
 //
 //ruby:hotpath
-func (s *Space) sampleInto(rng *rand.Rand, m *mapping.Mapping, budget []int, dims []string, dc *divCache) {
-	m.Invalidate()
+func (s *Space) sampleInto(rng *rand.Rand, m *mapping.Mapping, budget, order []int, dc *divCache) {
+	dn := m.Relower(s.Work, s.Arch, s.slots)
 	if m.Factors == nil {
 		m.Factors = make(map[string][]int, len(s.Work.Dims))
 	}
 	m.Keep = nil
 
 	// Shared fanout budgets per spatial slot.
-	for i, sl := range s.slots {
-		if sl.Spatial() {
-			budget[i] = sl.Fanout
-		} else {
-			budget[i] = 0
-		}
-	}
+	s.fullBudget(budget)
 
 	// Visit dimensions in random order so no dimension monopolizes fanout —
 	// except dimensions with a required spatial allocation, which go first
 	// so the fanout budget cannot be starved before they draw.
-	rng.Shuffle(len(dims), func(i, j int) { dims[i], dims[j] = dims[j], dims[i] })
-	if len(s.Cons.RequireSpatialX)+len(s.Cons.RequireSpatialY) > 0 {
-		sortRequiredFirst(dims, s.Cons)
+	for i := range order {
+		order[i] = i
+	}
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	if s.rules.anyRequired {
+		s.rules.requiredFirst(order, len(s.slots))
 	}
 
-	for _, d := range dims {
-		fs := m.Factors[d]
+	for _, di := range order {
+		name := s.dimNames[di]
+		fs := m.Factors[name]
 		if len(fs) != len(s.slots) {
 			fs = make([]int, len(s.slots))
-			m.Factors[d] = fs
+			m.Factors[name] = fs
 		}
-		s.sampleChainInto(rng, d, budget, fs, dc)
+		s.sampleChainInto(rng, di, budget, fs, dc)
+		dn.SetChainRow(di, s.Work.Dims[di].Bound, fs)
 	}
 
-	if s.Cons.FixedPerms {
-		m.Perms = mapping.DefaultPerms(s.Work, s.Arch)
-	} else {
-		if len(m.Perms) != len(s.Arch.Levels) {
-			m.Perms = make([][]string, len(s.Arch.Levels))
-		}
-		for li := range m.Perms {
-			p := m.Perms[li]
-			if len(p) != len(s.dimNames) {
-				p = append([]string(nil), s.dimNames...) //ruby:allow hotpath -- first-sample initialization; steady state copies in place
-			} else {
-				copy(p, s.dimNames)
-			}
-			rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	nd := len(s.dimNames)
+	if len(m.Perms) != len(s.Arch.Levels) {
+		m.Perms = make([][]string, len(s.Arch.Levels))
+	}
+	for li := range m.Perms {
+		p := m.Perms[li]
+		if len(p) != nd {
+			p = append([]string(nil), s.dimNames...) //ruby:allow hotpath -- first-sample initialization; steady state copies in place
 			m.Perms[li] = p
+		} else {
+			copy(p, s.dimNames)
+		}
+		ids := dn.Perm[li*nd : li*nd+nd]
+		for k := range ids {
+			ids[k] = int16(k) // dimNames is workload declaration order
+		}
+		if !s.Cons.FixedPerms {
+			rng.Shuffle(nd, func(i, j int) {
+				p[i], p[j] = p[j], p[i]
+				ids[i], ids[j] = ids[j], ids[i]
+			})
 		}
 	}
 	if s.Cons.ExploreBypass {
-		s.sampleBypass(rng, m)
+		s.sampleBypass(rng, m, dn)
 	}
 }
 
 // sampleBypass randomly drops tensors from intermediate storage levels
 // (never DRAM, never the innermost level — dropping the last on-chip home
-// of a tensor is almost never useful and would dominate the samples).
-func (s *Space) sampleBypass(rng *rand.Rand, m *mapping.Mapping) {
+// of a tensor is almost never useful and would dominate the samples),
+// writing each override into m.Keep and its mask into the lowering dn.
+func (s *Space) sampleBypass(rng *rand.Rand, m *mapping.Mapping, dn *mapping.Dense) {
 	n := len(s.Arch.Levels)
 	if n <= 2 {
 		return
@@ -470,6 +481,7 @@ func (s *Space) sampleBypass(rng *rand.Rand, m *mapping.Mapping) {
 	for li := 1; li < n-1; li++ {
 		l := &s.Arch.Levels[li]
 		var keep map[workload.Role]bool
+		var mask int8
 		for _, r := range workload.Roles {
 			if !l.KeepsRole(r, false) {
 				continue
@@ -479,11 +491,13 @@ func (s *Space) sampleBypass(rng *rand.Rand, m *mapping.Mapping) {
 				for _, rr := range workload.Roles {
 					if l.KeepsRole(rr, false) {
 						keep[rr] = true
+						mask |= int8(mapping.RoleBit(rr))
 					}
 				}
 			}
 			if rng.Intn(4) == 0 {
 				keep[r] = false
+				mask &^= int8(mapping.RoleBit(r))
 			}
 		}
 		if keep == nil {
@@ -493,48 +507,40 @@ func (s *Space) sampleBypass(rng *rand.Rand, m *mapping.Mapping) {
 			m.Keep = make([]map[workload.Role]bool, n)
 		}
 		m.Keep[li] = keep
+		dn.SetKeepMask(li, n, mask)
 	}
 }
 
-// sampleChain draws one dimension's outermost-first factor chain, consuming
+// sampleChainInto draws dimension di's outermost-first factor chain into fs
+// (len must equal the slot count; every entry is overwritten), consuming
 // from the shared spatial budget slice.
-func (s *Space) sampleChain(rng *rand.Rand, d string, budget []int) []int {
-	fs := make([]int, len(s.slots))
-	s.sampleChainInto(rng, d, budget, fs, nil)
-	return fs
-}
-
-// sampleChainInto is sampleChain writing into caller-owned storage (len must
-// equal the slot count; every entry is overwritten).
 //
 //ruby:hotpath
-func (s *Space) sampleChainInto(rng *rand.Rand, d string, budget, fs []int, dc *divCache) {
-	if a, ok := s.fusedAdvance(d); ok {
-		s.sampleFusedChainInto(rng, d, a, budget, fs, dc)
+func (s *Space) sampleChainInto(rng *rand.Rand, di int, budget, fs []int, dc *divCache) {
+	if a := s.rules.fusedAdvance(di); a > 0 {
+		s.sampleFusedChainInto(rng, di, a, budget, fs, dc)
 		return
 	}
-	r := s.Work.Dims[s.Work.DimID(d)].Bound // d is one of the space's dim names
-	// Innermost-first; slot 0 of s.slots is outermost.
-	for i := len(s.slots) - 1; i >= 0; i-- {
-		sl := s.slots[i]
-		if i == 0 {
-			// Outermost temporal slot absorbs the residual.
-			fs[i] = r
-			break
-		}
-		f := s.sampleFactor(rng, sl, d, r, budget[i], s.requiredOuter(d, i), dc)
+	rules := s.rules.row(di, len(s.slots))
+	r := s.Work.Dims[di].Bound
+	// Innermost-first; slot 0 of s.slots is outermost and absorbs the
+	// residual.
+	for i := len(s.slots) - 1; i >= 1; i-- {
+		fl := rules[i]
+		f := s.drawFactor(rng, fl, r, budget[i], dc)
 		fs[i] = f
-		if sl.Spatial() && f > 1 {
+		if fl&ruleSpatial != 0 && f > 1 {
 			budget[i] /= f
 		}
 		if r > 1 {
-			if sl.Spatial() && !s.Kind.imperfectSpatial() || !sl.Spatial() && !s.Kind.imperfectTemporal() {
+			if fl&ruleImperfect == 0 {
 				r /= f
 			} else {
 				r = factor.CeilDiv(r, f)
 			}
 		}
 	}
+	fs[0] = r
 }
 
 // SampleChain draws a fresh factor chain for one dimension against a full
@@ -542,12 +548,24 @@ func (s *Space) sampleChainInto(rng *rand.Rand, d string, budget, fs []int, dc *
 // across dimensions is re-checked by the evaluator.
 func (s *Space) SampleChain(rng *rand.Rand, d string) []int {
 	budget := make([]int, len(s.slots))
+	s.fullBudget(budget)
+	fs := make([]int, len(s.slots))
+	s.sampleChainInto(rng, int(s.Work.DimID(d)), budget, fs, nil)
+	return fs
+}
+
+// fullBudget resets budget to every spatial slot's full fanout (0 at
+// temporal slots).
+//
+//ruby:hotpath
+func (s *Space) fullBudget(budget []int) {
 	for i, sl := range s.slots {
 		if sl.Spatial() {
 			budget[i] = sl.Fanout
+		} else {
+			budget[i] = 0
 		}
 	}
-	return s.sampleChain(rng, d, budget)
 }
 
 // SamplePerm draws a random loop order (or the canonical one under
@@ -560,49 +578,33 @@ func (s *Space) SamplePerm(rng *rand.Rand) []string {
 	return p
 }
 
-// requiredOuter reports whether a spatial slot outer to position i requires
-// dim — inner slots must then leave residual for it.
-func (s *Space) requiredOuter(dim string, i int) bool {
-	if len(s.Cons.RequireSpatialX)+len(s.Cons.RequireSpatialY) == 0 {
-		return false
-	}
-	for j := 0; j < i; j++ {
-		sl := s.slots[j]
-		if sl.Spatial() && s.Cons.required(sl.Kind, dim) {
-			return true
-		}
-	}
-	return false
-}
-
-// sampleFactor draws one slot factor for residual r. reserve caps the draw
-// so the residual stays above 1 (an outer slot still needs a share).
+// drawFactor draws one slot factor for residual r under the slot's compiled
+// rule flags, against the slot's remaining fanout budget.
 //
 //ruby:hotpath
-func (s *Space) sampleFactor(rng *rand.Rand, sl mapping.Slot, dim string, r, budget int, reserve bool, dc *divCache) int {
+func (s *Space) drawFactor(rng *rand.Rand, fl uint8, r, budget int, dc *divCache) int {
 	if r == 1 {
 		return 1
 	}
 	max := r
-	if reserve {
+	if fl&ruleReserve != 0 {
 		max = r - 1 // any f < r leaves residual ceil(r/f) >= 2
 	}
-	imperfect := s.Kind.imperfectTemporal()
-	if sl.Spatial() {
-		imperfect = s.Kind.imperfectSpatial()
-		if !s.Cons.allowed(sl.Kind, dim) {
+	if fl&ruleSpatial != 0 {
+		if fl&ruleAllowed == 0 {
 			return 1
 		}
 		if budget < max {
 			max = budget
 		}
-	} else if s.Cons.MaxTemporalFactor > 0 && s.Cons.MaxTemporalFactor < max {
-		max = s.Cons.MaxTemporalFactor
+	} else if mt := s.Cons.MaxTemporalFactor; mt > 0 && mt < max {
+		max = mt
 	}
 	if max < 1 {
 		max = 1
 	}
-	if sl.Spatial() && s.Cons.required(sl.Kind, dim) && max >= 2 {
+	imperfect := fl&ruleImperfect != 0
+	if fl&ruleRequired != 0 && max >= 2 {
 		// Forced spatial allocation: draw from [2, max] (smallest divisor
 		// >= 2 for perfect slots).
 		if imperfect {
@@ -630,24 +632,6 @@ func (s *Space) sampleFactor(rng *rand.Rand, sl mapping.Slot, dim string, r, bud
 		}
 	}
 	return s.cappedDivisor(rng, r, max, dc)
-}
-
-// sortRequiredFirst stably moves dimensions with required spatial
-// allocations to the front of the sampling order, in place (the sampler
-// calls it once per sample; dimension counts are tiny).
-func sortRequiredFirst(dims []string, cons Constraints) {
-	isReq := func(d string) bool {
-		return cons.required(mapping.SpatialX, d) || cons.required(mapping.SpatialY, d)
-	}
-	k := 0
-	for i, d := range dims {
-		if !isReq(d) {
-			continue
-		}
-		copy(dims[k+1:i+1], dims[k:i])
-		dims[k] = d
-		k++
-	}
 }
 
 // divisorGE2LE draws a random divisor of r in [2, max], or 1 when none

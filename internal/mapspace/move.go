@@ -14,11 +14,11 @@ import (
 // rejects the candidate — reverted exactly with Undo.
 //
 // Apply patches the mapping's memoized dense lowering in place (only the
-// affected row or mask entry) and clears only the memoized key, so the
-// sample→lower→evaluate pipeline downstream never re-lowers or re-validates
-// the untouched dimensions and levels. The move's Delta tells the
-// incremental evaluator (nest.Plan.EvaluateDelta) exactly which cached
-// contributions to recompute.
+// affected row or mask entry), so the sample→lower→evaluate pipeline
+// downstream never re-lowers or re-validates the untouched dimensions and
+// levels. The move's Delta tells the incremental evaluator
+// (nest.Plan.EvaluateDelta) exactly which cached contributions to
+// recompute.
 //
 // The usual single-owner mutation contract applies: the mapping must not be
 // shared with concurrent readers while moves are applied to it.
@@ -80,7 +80,6 @@ func (mv *Move) Apply(m *mapping.Mapping) {
 		copy(fs, mv.chain)
 		if dn != nil {
 			dn.SetChainRow(mv.delta.Dim, s.Work.Bound(mv.dim), fs)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}
@@ -92,7 +91,6 @@ func (mv *Move) Apply(m *mapping.Mapping) {
 			base := mv.delta.Level * dn.NDims
 			copy(mv.oldPermIDs, dn.Perm[base:base+dn.NDims])
 			dn.SetPermRowIDs(mv.delta.Level, mv.permIDs)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}
@@ -129,7 +127,6 @@ func (mv *Move) Apply(m *mapping.Mapping) {
 				}
 			}
 			dn.SetKeepMask(li, len(m.Keep), mask)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}
@@ -160,7 +157,6 @@ func (mv *Move) Undo(m *mapping.Mapping) {
 		copy(fs, mv.oldChain)
 		if dn != nil {
 			dn.SetChainRow(mv.delta.Dim, s.Work.Bound(mv.dim), fs)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}
@@ -169,7 +165,6 @@ func (mv *Move) Undo(m *mapping.Mapping) {
 		copy(p, mv.oldPerm)
 		if dn != nil {
 			dn.SetPermRowIDs(mv.delta.Level, mv.oldPermIDs)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}
@@ -188,7 +183,6 @@ func (mv *Move) Undo(m *mapping.Mapping) {
 				dn.KeepMask[li] = mv.oldMask
 			}
 			dn.TruncKeepMask(mv.oldMaskLen)
-			m.ResetKey()
 		} else {
 			m.Invalidate()
 		}
@@ -289,14 +283,8 @@ func (mu *Mutator) ProposeChainID(rng *rand.Rand, di int) *Move {
 	mv.applied = false
 	mv.delta = mapping.Delta{Kind: mapping.DeltaChain, Dim: di}
 	mv.dim = s.dimNames[di]
-	for i, sl := range s.slots {
-		if sl.Spatial() {
-			mu.budget[i] = sl.Fanout
-		} else {
-			mu.budget[i] = 0
-		}
-	}
-	s.sampleChainInto(rng, mv.dim, mu.budget, mv.chain, mu.dc)
+	s.fullBudget(mu.budget)
+	s.sampleChainInto(rng, di, mu.budget, mv.chain, mu.dc)
 	return mv
 }
 

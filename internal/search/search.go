@@ -140,6 +140,22 @@ type shared struct {
 	stop      atomic.Bool
 }
 
+// addTrace records the improvement to v found at evaluation ticket n,
+// keeping the trace ordered by ticket. Workers finish out of ticket order,
+// so points of later tickets may already be recorded; v beats all of them
+// (it beats the current best), so in ticket order they were no improvement,
+// and they are dropped to keep evals ascending and values strictly
+// descending.
+//
+//ruby:locked mu
+func (st *shared) addTrace(n int64, v float64) {
+	i := len(st.trace)
+	for i > 0 && st.trace[i-1].Evals > n {
+		i--
+	}
+	st.trace = append(st.trace[:i], TracePoint{Evals: n, Value: v})
+}
+
 // Random runs parallel random-sampling search through the evaluation
 // pipeline and returns the best mapping found. It mirrors Timeloop's
 // Random-Sampling search: mapspace generation proposes structurally valid
@@ -209,7 +225,7 @@ func Random(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Opt
 					st.bestCost = c.Clone()
 					st.noImprove.Store(0)
 					if opt.KeepTrace {
-						st.trace = append(st.trace, TracePoint{Evals: n, Value: opt.Objective.Value(&c)})
+						st.addTrace(n, opt.Objective.Value(&c))
 					}
 					st.mu.Unlock()
 					met.Improvement(n, opt.Objective.Value(&c))
