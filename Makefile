@@ -32,13 +32,13 @@ race-dist:
 
 # Batch-evaluation gate: the engine's reusable batch (persistent worker
 # scratches, shared result storage), the in-place exhaustive scan, the
-# random searcher on the same batch, the kill-and-resume and cancellation
-# tests, and the samplers and cache keys (the compiled sampling table one
-# Space shares across goroutines, the per-worker cache-key buffers, the
-# draw and cache goldens) under the race detector three times over. The
-# selection keeps it well under a minute; the whole search package takes
-# far longer under -race.
-RACE_SEARCH = ^Test(EvaluateBatch|Batch|Exhaustive|ShardedExhaustive|Random|Resumable|KillAndResume|CancelMidStep|Sampler|CacheKey)
+# random and genetic searchers on the same batch, the annealer and the
+# portfolio, the kill-and-resume and cancellation tests, and the samplers
+# and cache keys (the compiled sampling table one Space shares across
+# goroutines, the per-worker cache-key buffers, the draw and cache goldens)
+# under the race detector three times over. The selection keeps it well
+# under a minute; the whole search package takes far longer under -race.
+RACE_SEARCH = ^Test(EvaluateBatch|Batch|Exhaustive|ShardedExhaustive|Random|Resumable|KillAndResume|CancelMid|Sampler|CacheKey|Anneal|Genetic|Portfolio)
 race-search:
 	$(GO) test -race -count=3 -run '$(RACE_SEARCH)' ./internal/engine/... ./internal/mapspace/... ./internal/search/...
 

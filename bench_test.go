@@ -581,28 +581,36 @@ func BenchmarkHeuristicConstruct(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneticSearch measures the GA on the toy problem.
+// BenchmarkGeneticSearch measures the GA on the toy problem: 312
+// evaluations per op (the initial population, then generations evaluated
+// as engine batches until the budget); ns/eval is the per-evaluation cost.
 func BenchmarkGeneticSearch(b *testing.B) {
 	b.ReportAllocs()
 	w := workloads.Rank1(100)
 	a := arch.ToyGLB(6, 512)
-	ev := nest.MustEvaluator(w, a)
+	eng := engine.New(nest.MustEvaluator(w, a))
 	sp := mapspace.New(w, a, mapspace.RubyS, mapspace.Constraints{FixedPerms: true})
+	var evals int64
 	for i := 0; i < b.N; i++ {
-		search.Genetic(context.Background(), sp, ev, search.GeneticOptions{Seed: int64(i), Population: 32, Generations: 10})
+		evals += search.Genetic(context.Background(), sp, eng, search.Options{Seed: int64(i), MaxEvaluations: 312}).Evaluated
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/eval")
 }
 
-// BenchmarkAnnealSearch measures simulated annealing on the toy problem.
+// BenchmarkAnnealSearch measures simulated annealing on the toy problem:
+// 1050 evaluations per op (50 warm-up samples, then 1000 annealing steps);
+// ns/eval is the per-evaluation cost.
 func BenchmarkAnnealSearch(b *testing.B) {
 	b.ReportAllocs()
 	w := workloads.Rank1(100)
 	a := arch.ToyGLB(6, 512)
-	ev := nest.MustEvaluator(w, a)
+	eng := engine.New(nest.MustEvaluator(w, a))
 	sp := mapspace.New(w, a, mapspace.RubyS, mapspace.Constraints{FixedPerms: true})
+	var evals int64
 	for i := 0; i < b.N; i++ {
-		search.Anneal(context.Background(), sp, ev, search.AnnealOptions{Seed: int64(i), Steps: 1000, Warmup: 50})
+		evals += search.Anneal(context.Background(), sp, eng, search.Options{Seed: int64(i), MaxEvaluations: 1050, Warmup: 50}).Evaluated
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/eval")
 }
 
 // BenchmarkAttribute measures one cost-attribution refill from a seeded

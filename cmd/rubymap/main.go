@@ -71,7 +71,7 @@ func main() {
 		searcher   = flag.String("search", "random", "random | guided | exhaustive | genetic | anneal | hillclimb | portfolio | heuristic (one-shot) | warm (heuristic + random)")
 		objFlag    = flag.String("objective", "edp", "edp | energy | delay")
 		evals      = flag.Int64("evals", 100000, "max sampled mappings (0 = rely on no-improve; also caps -search exhaustive)")
-		cpDir      = flag.String("checkpoint", "", "directory for crash-safe search snapshots (random|warm|hillclimb|exhaustive); SIGINT/SIGTERM write a final snapshot before exiting")
+		cpDir      = flag.String("checkpoint", "", "directory for crash-safe search snapshots ("+checkpointable+"); SIGINT/SIGTERM write a final snapshot before exiting")
 		resume     = flag.Bool("resume", false, "continue from the snapshot in -checkpoint (fresh start when none exists)")
 		noImp      = flag.Int64("no-improve", 3000, "stop after this many consecutive non-improving valid mappings")
 		threads    = flag.Int("threads", 0, "search threads (default: CPUs, max 24)")
@@ -215,7 +215,7 @@ func main() {
 				fatal(err)
 			}
 		} else {
-			res = runOneShot(ctx, *searcher, sp, eng, ev, k, cons, opt, obj, *seed, *evals)
+			res = runOneShot(ctx, *searcher, sp, eng, ev, k, cons, opt)
 		}
 		if ctx.Err() != nil {
 			if *timeout > 0 && errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -297,21 +297,14 @@ func runNetwork(name, archStr, archFile, kindStr, objFlag string,
 		nr.Baseline.EDP, nr.EDP, 100*(nr.Baseline.EDP-nr.EDP)/nr.Baseline.EDP)
 }
 
-// runOneShot dispatches the non-checkpointable searchers, with rubymap's
-// own budgets for genetic and anneal, and search.Run for the rest.
+// runOneShot runs a search without snapshots: the constructive heuristic
+// for "heuristic", random search from its mapping for "warm", and
+// search.Run for every search.Algorithms name, so opt's budget and
+// termination criterion apply to all of them.
 func runOneShot(ctx context.Context, searcher string, sp *mapspace.Space, eng *engine.Engine,
-	ev *nest.Evaluator, k mapspace.Kind, cons mapspace.Constraints,
-	opt search.Options, obj search.Objective, seed, evals int64) *search.Result {
+	ev *nest.Evaluator, k mapspace.Kind, cons mapspace.Constraints, opt search.Options) *search.Result {
 
 	switch searcher {
-	case "genetic":
-		return search.Genetic(ctx, sp, ev, search.GeneticOptions{Seed: seed, Objective: obj})
-	case "anneal":
-		steps := int(evals)
-		if steps <= 0 {
-			steps = 20000
-		}
-		return search.Anneal(ctx, sp, ev, search.AnnealOptions{Seed: seed, Steps: steps, Objective: obj})
 	case "heuristic":
 		m, c, err := heuristic.Construct(ev, k, cons)
 		if err != nil {
@@ -333,6 +326,11 @@ func runOneShot(ctx context.Context, searcher string, sp *mapspace.Space, eng *e
 	return res
 }
 
+// checkpointable lists the -search values -checkpoint and -resume accept:
+// the resumable algorithms, and warm (a random search from the heuristic's
+// mapping).
+var checkpointable = strings.Join(search.ResumableAlgorithms, "|") + "|warm"
+
 // runCheckpointable drives the resumable searchers under RunCheckpointed:
 // periodic snapshots into dir, a final snapshot on interruption, and exact
 // continuation with -resume. An interrupted run returns its best-so-far
@@ -352,7 +350,7 @@ func runCheckpointable(ctx context.Context, searcher string, sp *mapspace.Space,
 	}
 	sr, err := search.NewSearcherFor(algo, sp, eng, opt, maxEnum)
 	if err != nil {
-		return nil, fmt.Errorf("-checkpoint/-resume supports random|warm|guided|hillclimb|exhaustive, not %q", searcher)
+		return nil, fmt.Errorf("-checkpoint/-resume supports %s, not %q", checkpointable, searcher)
 	}
 	var cc search.CheckpointConfig
 	if dir != "" {

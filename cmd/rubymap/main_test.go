@@ -1,11 +1,15 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	"ruby/internal/arch"
+	"ruby/internal/engine"
 	"ruby/internal/mapspace"
+	"ruby/internal/nest"
 	"ruby/internal/search"
+	"ruby/internal/workload"
 )
 
 func TestParseConv(t *testing.T) {
@@ -124,5 +128,24 @@ func TestResolveObjective(t *testing.T) {
 	}
 	if _, err := search.ParseObjective("area"); err == nil {
 		t.Error("unknown objective accepted")
+	}
+}
+
+// Every search.Algorithms name runs through search.Run with the options
+// main builds from -evals and -no-improve, so none spends more than -evals
+// (genetic and anneal once ran budgets of their own).
+func TestRunOneShotHonorsEvals(t *testing.T) {
+	w := workload.MustMatmul("mm", 96, 96, 96)
+	a := arch.EyerissLike(14, 12, 128)
+	cons := mapspace.EyerissRowStationary(w)
+	sp := mapspace.New(w, a, mapspace.RubyS, cons)
+	ev := nest.MustEvaluator(w, a)
+	const evals = 500
+	for _, algo := range search.Algorithms {
+		opt := search.Options{Seed: 1, Threads: 2, MaxEvaluations: evals, ConsecutiveNoImprove: 3000}
+		res := runOneShot(context.Background(), algo, sp, engine.New(ev), ev, mapspace.RubyS, cons, opt)
+		if res.Evaluated > evals || res.Evaluated == 0 {
+			t.Errorf("-search %s -evals %d spent %d evaluations", algo, evals, res.Evaluated)
+		}
 	}
 }

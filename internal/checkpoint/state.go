@@ -36,8 +36,9 @@ type TracePoint struct {
 //
 //ruby:serialstable
 type SearchState struct {
-	// Algo names the searcher that wrote the snapshot ("random",
-	// "hillclimb", "exhaustive", "guided"); Restore rejects a mismatch.
+	// Algo names the searcher that wrote the snapshot ("random", "guided",
+	// "hillclimb", "anneal", "genetic" or "exhaustive"); Restore rejects a
+	// mismatch.
 	Algo string `json:"algo"`
 	// Done marks a search that ran to completion (resuming it is a no-op).
 	Done bool `json:"done,omitempty"`
@@ -56,10 +57,13 @@ type SearchState struct {
 	// Warmed records that warm-up work preceding the main loop has run (the
 	// random searcher's warm-start evaluation).
 	Warmed bool `json:"warmed,omitempty"`
-	// WarmupLeft is the hill-climber's remaining warm-up samples.
+	// WarmupLeft is the hill-climber's (and annealer's) remaining warm-up
+	// samples.
 	WarmupLeft int `json:"warmup_left,omitempty"`
 	// Fails is the hill-climber's consecutive-rejected-proposal count.
 	Fails int `json:"fails,omitempty"`
+	// Temp is the annealer's current temperature (0 until its warm-up ends).
+	Temp float64 `json:"temp,omitempty"`
 
 	// Phase, Restarts and SinceBest are the model-guided searcher's state:
 	// its current phase ("seed" or "sweep"), the perturbation restarts
@@ -67,9 +71,15 @@ type SearchState struct {
 	Phase     string `json:"phase,omitempty"`
 	Restarts  int64  `json:"restarts,omitempty"`
 	SinceBest int64  `json:"since_best,omitempty"`
-	// Cur is the guided searcher's working mapping (mapping JSON); it
-	// diverges from Best after a perturbation restart.
+	// Cur is the working mapping (mapping JSON) of the guided searcher,
+	// which diverges from Best after a perturbation restart, and of the
+	// annealer, which diverges from Best whenever it accepts a worsening
+	// move.
 	Cur json.RawMessage `json:"cur,omitempty"`
+
+	// Population is the genetic searcher's current generation (mapping
+	// JSON each, in population order); Restore re-derives its fitness.
+	Population []json.RawMessage `json:"population,omitempty"`
 
 	// Enumerated counts mappings taken from the exhaustive enumeration;
 	// EnumIndex/EnumDone are the enumerator's odometer position.

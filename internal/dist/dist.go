@@ -104,11 +104,11 @@ const substreamStride = 0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFF // 48-bit golden-rat
 
 // BuildPlan partitions a search over sp into at most n shards. Exhaustive
 // searches shard by leading-dimension chain prefix; the resumable
-// stochastic algorithms (random, guided, hillclimb) shard by RNG substream,
-// which requires maxEvals > 0 so every shard's work is bounded — the
-// total budget is split across shards with the remainder going to the
-// first ones. Non-resumable algorithms are rejected: a shard must be able
-// to re-queue from a checkpoint.
+// stochastic algorithms (random, guided, hillclimb, anneal, genetic) shard
+// by RNG substream, which requires maxEvals > 0 so every shard's work is
+// bounded — the total budget is split across shards with the remainder
+// going to the first ones. Non-resumable algorithms (the portfolio) are
+// rejected: a shard must be able to re-queue from a checkpoint.
 func BuildPlan(sp *mapspace.Space, algo string, seed int64, n int, maxEvals int64) (*Plan, error) {
 	if n < 1 {
 		n = 1

@@ -96,7 +96,7 @@ func TestBuildPlanSubstream(t *testing.T) {
 	if _, err := BuildPlan(sp, "random", 42, 4, 0); err == nil {
 		t.Error("substream plan without a budget accepted")
 	}
-	if _, err := BuildPlan(sp, "anneal", 42, 4, 100); err == nil {
+	if _, err := BuildPlan(sp, "portfolio", 42, 4, 100); err == nil {
 		t.Error("non-resumable algorithm accepted")
 	}
 	// More shards than budget: clamp, never zero-budget shards.
@@ -331,32 +331,38 @@ func TestRestoreCoordinatorRejectsCorruptState(t *testing.T) {
 	}
 }
 
+// A substream plan runs reproducibly for every stochastic resumable
+// searcher, the annealer and the genetic searcher included.
 func TestRunLocalDeterministic(t *testing.T) {
-	spec := testSpec("random")
-	_, sp, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := BuildPlan(sp, "random", 11, 3, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := RunLocal(context.Background(), spec, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunLocal(context.Background(), spec, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Evaluated != 600 || a.Evaluated != b.Evaluated || a.Valid != b.Valid {
-		t.Errorf("counters differ: %+v vs %+v", a, b)
-	}
-	if string(a.Best) != string(b.Best) || a.BestObjective != b.BestObjective || a.BestShard != b.BestShard {
-		t.Errorf("incumbent differs:\n%s (%v, shard %d)\n%s (%v, shard %d)",
-			a.Best, a.BestObjective, a.BestShard, b.Best, b.BestObjective, b.BestShard)
-	}
-	if a.Best == nil {
-		t.Error("no incumbent found")
+	for _, algo := range []string{"random", "anneal", "genetic"} {
+		t.Run(algo, func(t *testing.T) {
+			spec := testSpec(algo)
+			_, sp, err := spec.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := BuildPlan(sp, algo, 11, 3, 6000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := RunLocal(context.Background(), spec, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := RunLocal(context.Background(), spec, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Evaluated != 6000 || a.Evaluated != b.Evaluated || a.Valid != b.Valid {
+				t.Errorf("counters differ: %+v vs %+v", a, b)
+			}
+			if string(a.Best) != string(b.Best) || a.BestObjective != b.BestObjective || a.BestShard != b.BestShard {
+				t.Errorf("incumbent differs:\n%s (%v, shard %d)\n%s (%v, shard %d)",
+					a.Best, a.BestObjective, a.BestShard, b.Best, b.BestObjective, b.BestShard)
+			}
+			if a.Best == nil {
+				t.Error("no incumbent found")
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"ruby/internal/arch"
@@ -13,7 +14,7 @@ import (
 
 func TestAnnealConvergesOnToy(t *testing.T) {
 	sp, ev := toy(mapspace.RubyS)
-	res := Anneal(context.Background(), sp, ev, AnnealOptions{Seed: 1, Steps: 3000, Warmup: 100})
+	res := Anneal(context.Background(), sp, engine.New(ev), Options{Seed: 1, MaxEvaluations: 3100, Warmup: 100})
 	if res.Best == nil {
 		t.Fatal("no valid mapping")
 	}
@@ -27,7 +28,7 @@ func TestAnnealCompetitiveWithRandom(t *testing.T) {
 	a := arch.EyerissLike(14, 12, 128)
 	sp := mapspace.New(w, a, mapspace.RubyS, mapspace.EyerissRowStationary(w))
 	ev := nest.MustEvaluator(w, a)
-	ann := Anneal(context.Background(), sp, ev, AnnealOptions{Seed: 2, Steps: 4000, Warmup: 200})
+	ann := Anneal(context.Background(), sp, engine.New(ev), Options{Seed: 2, MaxEvaluations: 4200, Warmup: 200})
 	if ann.Best == nil {
 		t.Fatal("anneal found nothing")
 	}
@@ -40,11 +41,10 @@ func TestAnnealCompetitiveWithRandom(t *testing.T) {
 
 func TestAnnealDeterministic(t *testing.T) {
 	sp, ev := toy(mapspace.Ruby)
-	a := Anneal(context.Background(), sp, ev, AnnealOptions{Seed: 3, Steps: 500, Warmup: 50})
-	b := Anneal(context.Background(), sp, ev, AnnealOptions{Seed: 3, Steps: 500, Warmup: 50})
-	if a.BestCost.EDP != b.BestCost.EDP || a.Evaluated != b.Evaluated {
-		t.Error("same seed diverged")
-	}
+	opt := Options{Seed: 3, MaxEvaluations: 550, Warmup: 50}
+	a := Anneal(context.Background(), sp, engine.New(ev), opt)
+	b := Anneal(context.Background(), sp, engine.New(ev), opt)
+	sameResult(t, "anneal", a, b)
 }
 
 func TestAnnealNoValidWarmup(t *testing.T) {
@@ -52,37 +52,27 @@ func TestAnnealNoValidWarmup(t *testing.T) {
 	a := arch.ToyGLB(7, 1)
 	sp := mapspace.New(w, a, mapspace.Ruby, mapspace.Constraints{FixedPerms: true})
 	ev := nest.MustEvaluator(w, a)
-	res := Anneal(context.Background(), sp, ev, AnnealOptions{Seed: 4, Steps: 100, Warmup: 50})
+	res := Anneal(context.Background(), sp, engine.New(ev), Options{Seed: 4, MaxEvaluations: 150, Warmup: 50})
 	if res.Best != nil {
 		t.Error("found a mapping where none can be valid")
 	}
 }
 
+// TestAnnealOptionDefaults: without an evaluation cap, the annealer spends
+// the default warm-up plus annealSteps steps, cooling to 1/1000 of its
+// start temperature over the steps.
 func TestAnnealOptionDefaults(t *testing.T) {
-	o := AnnealOptions{}.withDefaults()
-	if o.Steps != 20000 || o.StartTemp != 0.5 || o.Warmup != 200 {
-		t.Errorf("defaults = %+v", o)
-	}
-}
-
-func TestPortfolio(t *testing.T) {
 	sp, ev := toy(mapspace.RubyS)
-	res := Portfolio(context.Background(), sp, engine.New(ev), Options{Seed: 1, Threads: 2, MaxEvaluations: 4000})
-	if res.Best == nil {
-		t.Fatal("portfolio found nothing")
+	s := NewAnneal(sp, engine.New(ev), Options{Seed: 1})
+	res := runToCompletion(t, s)
+	if want := int64(defaultWarmup + annealSteps); res.Evaluated != want {
+		t.Errorf("evaluated %d, want %d", res.Evaluated, want)
 	}
-	if res.BestCost.Cycles != 17 {
-		t.Errorf("portfolio cycles = %f, want 17", res.BestCost.Cycles)
+	warm, ok := res.BestEDPAt(defaultWarmup)
+	if !ok {
+		t.Fatal("warm-up found no valid mapping")
 	}
-	if res.Evaluated <= 0 || res.Valid <= 0 {
-		t.Error("portfolio counters empty")
-	}
-}
-
-func TestPortfolioObjective(t *testing.T) {
-	sp, ev := toy(mapspace.Ruby)
-	res := Portfolio(context.Background(), sp, engine.New(ev), Options{Seed: 2, Threads: 1, MaxEvaluations: 2000, Objective: ObjectiveDelay})
-	if res.Best == nil || res.BestCost.Cycles > 17 {
-		t.Errorf("delay portfolio: %+v", res.BestCost)
+	if r := s.temp / (annealStartTemp * warm); math.Abs(r-1e-3) > 1e-12 {
+		t.Errorf("final temperature is %g of the start temperature, want 1e-3", r)
 	}
 }

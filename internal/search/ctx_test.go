@@ -81,21 +81,22 @@ func TestRandomCancelledKeepsWarmStart(t *testing.T) {
 // cancelled context and return their best-so-far.
 func TestPopulationSearchersHonorCancel(t *testing.T) {
 	sp, ev := toy(mapspace.RubyS)
+	eng := engine.New(ev)
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res := Anneal(pre, sp, ev, AnnealOptions{Seed: 1, Steps: 1 << 30, Warmup: 1 << 30}); res.Evaluated != 0 {
+	if res := Anneal(pre, sp, eng, Options{Seed: 1, MaxEvaluations: 1 << 40, Warmup: 1 << 30}); res.Evaluated != 0 {
 		t.Errorf("pre-cancelled anneal evaluated %d mappings", res.Evaluated)
 	}
-	if res := Genetic(pre, sp, ev, GeneticOptions{Seed: 1, Generations: 1 << 30}); res.Evaluated != 0 {
+	if res := Genetic(pre, sp, eng, Options{Seed: 1, MaxEvaluations: 1 << 40}); res.Evaluated != 0 {
 		t.Errorf("pre-cancelled genetic evaluated %d mappings", res.Evaluated)
 	}
 
 	for name, run := range map[string]func(context.Context) *Result{
 		"anneal": func(ctx context.Context) *Result {
-			return Anneal(ctx, sp, ev, AnnealOptions{Seed: 1, Steps: 1 << 30, Warmup: 200})
+			return Anneal(ctx, sp, eng, Options{Seed: 1, MaxEvaluations: 1 << 40, Warmup: 200})
 		},
 		"genetic": func(ctx context.Context) *Result {
-			return Genetic(ctx, sp, ev, GeneticOptions{Seed: 1, Generations: 1 << 30})
+			return Genetic(ctx, sp, eng, Options{Seed: 1, MaxEvaluations: 1 << 40})
 		},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)

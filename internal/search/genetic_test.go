@@ -13,7 +13,7 @@ import (
 
 func TestGeneticConvergesOnToy(t *testing.T) {
 	sp, ev := toy(mapspace.RubyS)
-	res := Genetic(context.Background(), sp, ev, GeneticOptions{Seed: 1, Population: 32, Generations: 20})
+	res := Genetic(context.Background(), sp, engine.New(ev), Options{Seed: 1, MaxEvaluations: 1264})
 	if res.Best == nil {
 		t.Fatal("no valid mapping")
 	}
@@ -31,7 +31,7 @@ func TestGeneticCompetitiveWithRandom(t *testing.T) {
 	sp := mapspace.New(w, a, mapspace.RubyS, mapspace.EyerissRowStationary(w))
 	ev := nest.MustEvaluator(w, a)
 
-	gen := Genetic(context.Background(), sp, ev, GeneticOptions{Seed: 2, Population: 64, Generations: 60})
+	gen := Genetic(context.Background(), sp, engine.New(ev), Options{Seed: 2, MaxEvaluations: 3664})
 	if gen.Best == nil {
 		t.Fatal("genetic found nothing")
 	}
@@ -50,27 +50,52 @@ func TestGeneticCompetitiveWithRandom(t *testing.T) {
 
 func TestGeneticDeterministic(t *testing.T) {
 	sp, ev := toy(mapspace.Ruby)
-	a := Genetic(context.Background(), sp, ev, GeneticOptions{Seed: 5, Population: 16, Generations: 5})
-	b := Genetic(context.Background(), sp, ev, GeneticOptions{Seed: 5, Population: 16, Generations: 5})
-	if a.BestCost.EDP != b.BestCost.EDP || a.Evaluated != b.Evaluated {
-		t.Error("same seed diverged")
+	opt := Options{Seed: 5, MaxEvaluations: 364}
+	a := Genetic(context.Background(), sp, engine.New(ev), opt)
+	b := Genetic(context.Background(), sp, engine.Config{Workers: 4}.New(ev), opt)
+	sameResult(t, "genetic", b, a)
+}
+
+// TestGeneticOptionDefaults: the first Step samples a geneticPopulation
+// population, each later Step breeds all but the elites, and the last one
+// stops at exactly MaxEvaluations.
+func TestGeneticOptionDefaults(t *testing.T) {
+	sp, ev := toy(mapspace.RubyS)
+	s := NewGenetic(sp, engine.New(ev), Options{Seed: 1, MaxEvaluations: 200})
+	breed := int64(geneticPopulation - geneticElites)
+	want := []int64{geneticPopulation, geneticPopulation + breed, geneticPopulation + 2*breed, 200}
+	for i, w := range want {
+		done, err := s.Step(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Result().Evaluated; got != w {
+			t.Errorf("after step %d: evaluated %d, want %d", i+1, got, w)
+		}
+		if done != (i == len(want)-1) {
+			t.Errorf("after step %d: done = %v", i+1, done)
+		}
 	}
 }
 
-func TestGeneticOptionDefaults(t *testing.T) {
-	o := GeneticOptions{}.withDefaults()
-	if o.Population != 64 || o.Generations != 40 || o.Elites != 4 {
-		t.Errorf("defaults = %+v", o)
+// A run without an evaluation cap stops on the random searcher's rule:
+// ConsecutiveNoImprove valid children in a row without improvement. Every
+// toy Ruby-S mapping is valid, so that is exactly 500 evaluations after the
+// last improvement.
+func TestGeneticStopsOnNoImprove(t *testing.T) {
+	sp, ev := toy(mapspace.RubyS)
+	res := Genetic(context.Background(), sp, engine.New(ev), Options{Seed: 1, ConsecutiveNoImprove: 500})
+	if res.Best == nil || res.Valid != res.Evaluated {
+		t.Fatalf("%d of %d evaluations valid, want all", res.Valid, res.Evaluated)
 	}
-	small := GeneticOptions{Population: 4}.withDefaults()
-	if small.Elites > 2 {
-		t.Errorf("elites %d exceed half the population", small.Elites)
+	if since := res.Evaluated - res.Trace[len(res.Trace)-1].Evals; since != 500 {
+		t.Errorf("stopped %d evaluations after the last improvement, want 500", since)
 	}
 }
 
 func TestGeneticTraceMonotone(t *testing.T) {
 	sp, ev := toy(mapspace.RubyT)
-	res := Genetic(context.Background(), sp, ev, GeneticOptions{Seed: 3, Population: 16, Generations: 10})
+	res := Genetic(context.Background(), sp, engine.New(ev), Options{Seed: 3, MaxEvaluations: 664})
 	for i := 1; i < len(res.Trace); i++ {
 		if res.Trace[i].Value >= res.Trace[i-1].Value || res.Trace[i].Evals < res.Trace[i-1].Evals {
 			t.Fatalf("trace not monotone: %+v", res.Trace)

@@ -229,11 +229,8 @@ func (s *GuidedSearcher) considerBest(m *mapping.Mapping, c *nest.Cost, met engi
 	if s.res.Best != nil && v >= s.opt.Objective.Value(&s.res.BestCost) {
 		return
 	}
-	s.res.Best = m.Clone()
-	s.res.BestCost = c.Clone()
+	s.res.improve(m, c, v, met)
 	s.sinceBest = 0
-	s.res.Trace = append(s.res.Trace, TracePoint{Evals: s.res.Evaluated, Value: v})
-	met.Improvement(s.res.Evaluated, v)
 }
 
 // Step performs one atomic unit of guided search: a seed attempt (phase 1),
@@ -870,61 +867,41 @@ func (s *GuidedSearcher) restart(met engine.Metrics) (bool, error) {
 
 func (s *GuidedSearcher) finish(met engine.Metrics) bool {
 	s.done = true
-	if s.res.Best != nil {
-		met.BestObjective(s.opt.Objective.Value(&s.res.BestCost))
-	}
-	met.SearchDone(time.Since(s.start), s.res.Evaluated, s.res.Valid) //ruby:allow determinism -- wall time feeds Metrics.SearchDone only; never enters a snapshot
+	reportDone(met, s.opt.Objective, s.res, s.start)
 	return true
 }
 
 // Snapshot implements Searcher.
 func (s *GuidedSearcher) Snapshot() (*checkpoint.SearchState, error) {
-	st := &checkpoint.SearchState{
-		Algo: "guided", Done: s.done, RNG: s.rng.Clone(),
-		Evaluated: s.res.Evaluated, Valid: s.res.Valid,
-		Warmed: s.seeded, Phase: s.phase,
-		Restarts: s.restarts, SinceBest: s.sinceBest,
-		Trace: encodeTrace(s.res.Trace),
-	}
-	if err := snapshotBest(st, s.res); err != nil {
+	st, err := snapshotOf("guided", s.done, s.rng, s.res)
+	if err != nil {
 		return nil, err
 	}
+	st.Warmed, st.Phase = s.seeded, s.phase
+	st.Restarts, st.SinceBest = s.restarts, s.sinceBest
 	if s.cur != nil {
-		raw, err := s.cur.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("search: snapshot guided working mapping: %w", err)
+		if st.Cur, err = s.cur.Encode(); err != nil {
+			return nil, fmt.Errorf("search: snapshot working mapping: %w", err)
 		}
-		st.Cur = raw
 	}
 	return st, nil
 }
 
 // Restore implements Searcher.
 func (s *GuidedSearcher) Restore(st *checkpoint.SearchState) error {
-	if st.Algo != "guided" {
-		return fmt.Errorf("search: cannot restore %q snapshot into a guided searcher", st.Algo)
+	if err := restoreInto(st, "guided", s.rng, s.sp, s.res); err != nil {
+		return err
 	}
-	if st.RNG == nil {
-		return errors.New("search: guided snapshot lacks RNG state")
-	}
-	*s.rng = *st.RNG.Clone()
-	s.res.Evaluated, s.res.Valid = st.Evaluated, st.Valid
 	s.seeded, s.done = st.Warmed, st.Done
 	s.phase = st.Phase
 	if s.phase == "" {
 		s.phase = guidedPhaseSeed
 	}
 	s.restarts, s.sinceBest = st.Restarts, st.SinceBest
-	s.res.Trace = decodeTrace(st.Trace)
 	// The delta session is process-local: drop the working mapping's session
 	// and re-seed on the next sweep step.
-	s.cur, s.sweepReady = nil, false
-	if len(st.Cur) > 0 {
-		m, err := mapping.Decode(st.Cur, s.sp.Work, s.sp.Slots())
-		if err != nil {
-			return fmt.Errorf("search: restore guided working mapping: %w", err)
-		}
-		s.cur = m
-	}
-	return restoreBest(st, s.sp, s.res)
+	s.sweepReady = false
+	var err error
+	s.cur, err = decodeMapping(st.Cur, s.sp, "working mapping")
+	return err
 }

@@ -83,8 +83,8 @@ func TestGuidedBeatsStochasticAtBudget(t *testing.T) {
 		"random": Random(context.Background(), sp, engine.New(ev), Options{Seed: 1, MaxEvaluations: budget}),
 		"hillclimb": HillClimb(context.Background(), sp, engine.New(ev),
 			Options{Seed: 1, MaxEvaluations: budget, Warmup: 1000, Patience: 2000}),
-		"anneal":  Anneal(context.Background(), sp, ev, AnnealOptions{Seed: 1, Steps: budget - 200, Warmup: 200}),
-		"genetic": Genetic(context.Background(), sp, ev, GeneticOptions{Seed: 1, Population: 64, Generations: budget / 64}),
+		"anneal":  Anneal(context.Background(), sp, engine.New(ev), Options{Seed: 1, MaxEvaluations: budget}),
+		"genetic": Genetic(context.Background(), sp, engine.New(ev), Options{Seed: 1, MaxEvaluations: budget}),
 	}
 	for name, r := range rivals {
 		if r.Best == nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"math/rand"
 	"time"
 
@@ -83,36 +84,83 @@ func decodeTrace(tps []checkpoint.TracePoint) []TracePoint {
 	return out
 }
 
-// snapshotBest stores the incumbent into st.
-func snapshotBest(st *checkpoint.SearchState, res *Result) error {
-	if res.Best == nil {
-		return nil
+// snapshotOf starts a snapshot of the state every searcher shares: the
+// algorithm, completion, the RNG (nil for the draw-free exhaustive scan),
+// the counters, the trace and the incumbent.
+func snapshotOf(algo string, done bool, rng *checkpoint.RNG, res *Result) (*checkpoint.SearchState, error) {
+	st := &checkpoint.SearchState{
+		Algo: algo, Done: done,
+		Evaluated: res.Evaluated, Valid: res.Valid,
+		Trace: encodeTrace(res.Trace),
 	}
-	raw, err := res.Best.Encode()
-	if err != nil {
-		return fmt.Errorf("search: snapshot incumbent: %w", err)
+	if rng != nil {
+		st.RNG = rng.Clone()
 	}
-	st.Best = raw
-	c := res.BestCost.Clone()
-	st.BestCost = &c
-	return nil
+	if res.Best != nil {
+		raw, err := res.Best.Encode()
+		if err != nil {
+			return nil, fmt.Errorf("search: snapshot incumbent: %w", err)
+		}
+		c := res.BestCost.Clone()
+		st.Best, st.BestCost = raw, &c
+	}
+	return st, nil
 }
 
-// restoreBest loads the incumbent from st, validating it against the space.
-func restoreBest(st *checkpoint.SearchState, sp *mapspace.Space, res *Result) error {
-	res.Best, res.BestCost = nil, nest.Cost{}
-	if len(st.Best) == 0 {
-		return nil
+// restoreInto checks that st was written by an algo searcher and loads
+// what snapshotOf wrote into rng (unless nil) and res, validating the
+// incumbent against the space.
+func restoreInto(st *checkpoint.SearchState, algo string, rng *checkpoint.RNG, sp *mapspace.Space, res *Result) error {
+	if st.Algo != algo {
+		return fmt.Errorf("search: cannot restore %q snapshot into a %s searcher", st.Algo, algo)
 	}
-	m, err := mapping.Decode(st.Best, sp.Work, sp.Slots())
-	if err != nil {
-		return fmt.Errorf("search: restore incumbent: %w", err)
+	if rng != nil {
+		if st.RNG == nil {
+			return fmt.Errorf("search: %s snapshot lacks RNG state", algo)
+		}
+		*rng = *st.RNG
+	}
+	res.Evaluated, res.Valid = st.Evaluated, st.Valid
+	res.Trace = decodeTrace(st.Trace)
+	res.Best, res.BestCost = nil, nest.Cost{}
+	m, err := decodeMapping(st.Best, sp, "incumbent")
+	if err != nil || m == nil {
+		return err
 	}
 	res.Best = m
 	if st.BestCost != nil {
 		res.BestCost = st.BestCost.Clone()
 	}
 	return nil
+}
+
+// decodeMapping decodes a snapshot's mapping JSON against the space (nil
+// when the snapshot holds none); what names the mapping in the error.
+func decodeMapping(raw []byte, sp *mapspace.Space, what string) (*mapping.Mapping, error) {
+	if len(raw) == 0 {
+		return nil, nil
+	}
+	m, err := mapping.Decode(raw, sp.Work, sp.Slots())
+	if err != nil {
+		return nil, fmt.Errorf("search: restore %s: %w", what, err)
+	}
+	return m, nil
+}
+
+// improve makes m (cloned) with cost c and objective value v the incumbent,
+// recording the improvement in the trace and in met.
+func (r *Result) improve(m *mapping.Mapping, c *nest.Cost, v float64, met engine.Metrics) {
+	r.Best, r.BestCost = m.Clone(), c.Clone()
+	r.Trace = append(r.Trace, TracePoint{Evals: r.Evaluated, Value: v})
+	met.Improvement(r.Evaluated, v)
+}
+
+// reportDone reports a finished search's best objective and wall time.
+func reportDone(met engine.Metrics, obj Objective, res *Result, start time.Time) {
+	if res.Best != nil {
+		met.BestObjective(obj.Value(&res.BestCost))
+	}
+	met.SearchDone(time.Since(start), res.Evaluated, res.Valid) //ruby:allow determinism -- wall time feeds Metrics.SearchDone only; never enters a snapshot
 }
 
 // randomBatch is the number of sampled mappings evaluated per Step of the
@@ -253,67 +301,71 @@ func (s *RandomSearcher) Step(ctx context.Context) (bool, error) {
 }
 
 func (s *RandomSearcher) finish(met engine.Metrics) bool {
-	if !s.done {
-		s.done = true
-	}
-	if s.res.Best != nil {
-		met.BestObjective(s.opt.Objective.Value(&s.res.BestCost))
-	}
-	met.SearchDone(time.Since(s.start), s.res.Evaluated, s.res.Valid) //ruby:allow determinism -- wall time feeds Metrics.SearchDone only; never enters a snapshot
+	s.done = true
+	reportDone(met, s.opt.Objective, s.res, s.start)
 	return true
 }
 
 // Snapshot implements Searcher.
 func (s *RandomSearcher) Snapshot() (*checkpoint.SearchState, error) {
-	st := &checkpoint.SearchState{
-		Algo: "random", Done: s.done, RNG: s.rng.Clone(),
-		Evaluated: s.res.Evaluated, Valid: s.res.Valid,
-		NoImprove: s.noImprove, Warmed: s.warmed,
-		Trace: encodeTrace(s.res.Trace),
-	}
-	if err := snapshotBest(st, s.res); err != nil {
+	st, err := snapshotOf("random", s.done, s.rng, s.res)
+	if err != nil {
 		return nil, err
 	}
+	st.NoImprove, st.Warmed = s.noImprove, s.warmed
 	return st, nil
 }
 
 // Restore implements Searcher.
 func (s *RandomSearcher) Restore(st *checkpoint.SearchState) error {
-	if st.Algo != "random" {
-		return fmt.Errorf("search: cannot restore %q snapshot into a random searcher", st.Algo)
+	if err := restoreInto(st, "random", s.rng, s.sp, s.res); err != nil {
+		return err
 	}
-	if st.RNG == nil {
-		return errors.New("search: random snapshot lacks RNG state")
-	}
-	*s.rng = *st.RNG.Clone()
-	s.res.Evaluated, s.res.Valid = st.Evaluated, st.Valid
 	s.noImprove, s.warmed, s.done = st.NoImprove, st.Warmed, st.Done
-	s.res.Trace = decodeTrace(st.Trace)
-	return restoreBest(st, s.sp, s.res)
+	return nil
 }
 
 // hillClimbChunk bounds the serial evaluations per Step of the resumable
-// hill-climber (cancellation and checkpoint granularity).
+// hill-climber and annealer (cancellation and checkpoint granularity).
 const hillClimbChunk = 64
 
-// HillClimbSearcher is the hill-climb search (HillClimb steps it to
-// completion): warm-up random samples seed a greedy local search that
-// accepts strict improvements until patience consecutive proposals fail.
-// All draws come from one serializable RNG, so interrupt/resume replays the
-// exact proposal sequence.
+// Annealing schedule: the start temperature is annealStartTemp times the
+// warm-up winner's objective value (a move that worsens the objective by
+// that much is then accepted with probability 1/e), and it cools
+// geometrically to 1/1000 of that over the annealing steps:
+// opt.MaxEvaluations - opt.Warmup of them, or annealSteps when no cap is
+// set.
+const (
+	annealStartTemp = 0.5
+	annealSteps     = 20000
+)
+
+// HillClimbSearcher is the local search behind HillClimb and Anneal:
+// warm-up random samples seed a walk over Move proposals from the best of
+// them, and the constructor fixes the accept rule. The greedy climb
+// (NewHillClimb) accepts strict improvements until patience consecutive
+// proposals fail. The annealer (NewAnneal) also accepts a move that worsens
+// the working mapping's objective by d, with the Metropolis probability
+// exp(-d/T) under a geometrically cooled temperature T, which lets it
+// escape the local optima that trap the greedy climb; it runs until its
+// step budget is spent. All draws come from one serializable RNG, so
+// interrupt/resume replays the exact proposal sequence.
 //
-// The climb phase runs on the incremental pipeline: moves mutate the
-// incumbent in place (rejections are undone exactly) and neighbors are
-// scored by the delta kernel, which recomputes only the scopes the move
-// touches and is bit-identical to a full evaluation. The delta session
-// is process-local state, not checkpoint state: it is re-seeded from the
-// restored incumbent with one uncounted full evaluation on the first climb
-// step after construction or Restore, so snapshots keep their historical
-// schema and interrupted runs stay bit-identical to uninterrupted ones.
+// The walk runs on the incremental pipeline: moves mutate the working
+// mapping in place (rejections are undone exactly) and neighbors are scored
+// by the delta kernel, which recomputes only the scopes the move touches
+// and is bit-identical to a full evaluation. The delta session is
+// process-local state, not checkpoint state: it is re-seeded from the
+// working mapping with one uncounted full evaluation on the first walk step
+// after construction or Restore. The greedy climb's working mapping is
+// always the incumbent, so its snapshots hold only Best; the annealer's
+// drifts from the incumbent, so its snapshots add it (Cur) and the
+// temperature.
 type HillClimbSearcher struct {
-	sp  *mapspace.Space
-	eng *engine.Engine
-	opt Options
+	sp     *mapspace.Space
+	eng    *engine.Engine
+	opt    Options
+	anneal bool // Metropolis accept rule; otherwise strict improvement
 
 	rng *checkpoint.RNG
 	rnd *rand.Rand
@@ -323,8 +375,11 @@ type HillClimbSearcher struct {
 
 	mut        *mapspace.Mutator
 	dw         *engine.Delta
-	cur        *mapping.Mapping // climb incumbent, mutated in place
-	climbReady bool             // cur cloned from Best and dw seeded
+	cur        *mapping.Mapping // working mapping, mutated in place
+	curVal     float64          // objective value of cur
+	climbReady bool             // dw seeded with cur
+	temp       float64          // annealing temperature
+	cooling    float64          // per-step temperature factor
 
 	res        *Result
 	warmupLeft int
@@ -333,9 +388,9 @@ type HillClimbSearcher struct {
 	start      time.Time
 }
 
-// NewHillClimb builds a resumable hill-climb search. The warm-up sample
-// count and patience come from opt.Warmup and opt.Patience (zero selects
-// the defaults).
+// NewHillClimb builds a resumable greedy hill-climb search. The warm-up
+// sample count and patience come from opt.Warmup and opt.Patience (zero
+// selects the defaults).
 func NewHillClimb(sp *mapspace.Space, eng *engine.Engine, opt Options) *HillClimbSearcher {
 	opt = opt.withDefaults()
 	requireSharedContext(sp, eng)
@@ -349,6 +404,29 @@ func NewHillClimb(sp *mapspace.Space, eng *engine.Engine, opt Options) *HillClim
 	}
 	s.rnd = rand.New(s.rng)
 	return s
+}
+
+// NewAnneal builds a resumable simulated-annealing search: the hill-climb
+// walk under the Metropolis accept rule. The warm-up sample count comes
+// from opt.Warmup (zero selects the default); opt.Patience does not apply.
+func NewAnneal(sp *mapspace.Space, eng *engine.Engine, opt Options) *HillClimbSearcher {
+	s := NewHillClimb(sp, eng, opt)
+	s.anneal = true
+	if s.opt.MaxEvaluations <= 0 {
+		s.opt.MaxEvaluations = int64(s.opt.Warmup) + annealSteps
+	}
+	if steps := s.opt.MaxEvaluations - int64(s.opt.Warmup); steps > 0 {
+		s.cooling = math.Pow(1e-3, 1/float64(steps))
+	}
+	return s
+}
+
+// algo is the searcher's algorithm name, which tags its snapshots.
+func (s *HillClimbSearcher) algo() string {
+	if s.anneal {
+		return "anneal"
+	}
+	return "hillclimb"
 }
 
 // Result returns the result so far.
@@ -380,42 +458,16 @@ func (s *HillClimbSearcher) Step(ctx context.Context) (bool, error) {
 			c := s.wk.Evaluate(s.m)
 			if c.Valid {
 				s.res.Valid++
-				if s.res.Best == nil || s.opt.Objective.Value(&c) < s.opt.Objective.Value(&s.res.BestCost) {
-					s.res.Best, s.res.BestCost = s.m.Clone(), c.Clone()
-					s.res.Trace = append(s.res.Trace, TracePoint{Evals: s.res.Evaluated, Value: s.opt.Objective.Value(&c)})
-					met.Improvement(s.res.Evaluated, s.opt.Objective.Value(&c))
+				if v := s.opt.Objective.Value(&c); s.res.Best == nil || v < s.opt.Objective.Value(&s.res.BestCost) {
+					s.res.improve(s.m, &c, v, met)
 				}
 			}
 		case s.warmupLeft > 0: // budget exhausted during warm-up
 			return s.finish(met), nil
 		case s.res.Best == nil: // warm-up found nothing valid to climb from
 			return s.finish(met), nil
-		case s.fails < s.opt.Patience && s.budgetLeft():
-			if !s.climbReady {
-				// Lazy (re-)seeding of the delta session: uncounted, draw-free,
-				// so resumed and uninterrupted runs stay bit-identical.
-				s.cur = s.res.Best.Clone()
-				s.dw.Seed(s.cur)
-				s.climbReady = true
-			}
-			mv := s.mut.Propose(s.rnd)
-			mv.Apply(s.cur)
-			s.res.Evaluated++
-			c := s.dw.Evaluate(mv.Delta())
-			if c.Valid {
-				s.res.Valid++
-				if s.opt.Objective.Value(&c) < s.opt.Objective.Value(&s.res.BestCost) {
-					s.dw.Commit()
-					s.res.Best, s.res.BestCost = s.cur.Clone(), c.Clone()
-					s.res.Trace = append(s.res.Trace, TracePoint{Evals: s.res.Evaluated, Value: s.opt.Objective.Value(&c)})
-					met.Improvement(s.res.Evaluated, s.opt.Objective.Value(&c))
-					s.fails = 0
-					continue
-				}
-			}
-			s.dw.Reject()
-			mv.Undo(s.cur)
-			s.fails++
+		case s.budgetLeft() && (s.anneal || s.fails < s.opt.Patience):
+			s.move(met)
 		default: // patience or budget exhausted
 			return s.finish(met), nil
 		}
@@ -423,45 +475,95 @@ func (s *HillClimbSearcher) Step(ctx context.Context) (bool, error) {
 	return false, nil
 }
 
+// move proposes one Move on the working mapping, scores it by delta and
+// keeps or undoes it under the accept rule.
+func (s *HillClimbSearcher) move(met engine.Metrics) {
+	if !s.climbReady {
+		// Lazy (re-)seeding of the delta session: uncounted, draw-free, so
+		// resumed and uninterrupted runs stay bit-identical. The walk
+		// starts from the warm-up winner; a restored annealer continues
+		// from its snapshot's working mapping and temperature.
+		if s.cur == nil {
+			s.cur = s.res.Best.Clone()
+			if s.anneal {
+				s.temp = annealStartTemp * s.opt.Objective.Value(&s.res.BestCost)
+			}
+		}
+		c := s.dw.Seed(s.cur)
+		s.curVal = s.opt.Objective.Value(&c)
+		s.climbReady = true
+	}
+	mv := s.mut.Propose(s.rnd)
+	mv.Apply(s.cur)
+	s.res.Evaluated++
+	c := s.dw.Evaluate(mv.Delta())
+	if s.anneal {
+		s.temp *= s.cooling
+	}
+	if c.Valid {
+		s.res.Valid++
+		v := s.opt.Objective.Value(&c)
+		if v < s.opt.Objective.Value(&s.res.BestCost) {
+			// The working mapping is never better than the incumbent, so
+			// both accept rules keep a move that beats the incumbent.
+			s.res.improve(s.cur, &c, v, met)
+		}
+		if s.accept(v) {
+			s.dw.Commit()
+			s.curVal = v
+			s.fails = 0
+			return
+		}
+	}
+	s.dw.Reject()
+	mv.Undo(s.cur)
+	s.fails++
+}
+
+// accept applies the accept rule to a valid neighbor of objective value v.
+func (s *HillClimbSearcher) accept(v float64) bool {
+	if !s.anneal {
+		return v < s.curVal
+	}
+	d := v - s.curVal
+	return d <= 0 || s.rnd.Float64() < math.Exp(-d/s.temp)
+}
+
 func (s *HillClimbSearcher) finish(met engine.Metrics) bool {
 	s.done = true
-	if s.res.Best != nil {
-		met.BestObjective(s.opt.Objective.Value(&s.res.BestCost))
-	}
-	met.SearchDone(time.Since(s.start), s.res.Evaluated, s.res.Valid) //ruby:allow determinism -- wall time feeds Metrics.SearchDone only; never enters a snapshot
+	reportDone(met, s.opt.Objective, s.res, s.start)
 	return true
 }
 
 // Snapshot implements Searcher.
 func (s *HillClimbSearcher) Snapshot() (*checkpoint.SearchState, error) {
-	st := &checkpoint.SearchState{
-		Algo: "hillclimb", Done: s.done, RNG: s.rng.Clone(),
-		Evaluated: s.res.Evaluated, Valid: s.res.Valid,
-		WarmupLeft: s.warmupLeft, Fails: s.fails,
-		Trace: encodeTrace(s.res.Trace),
-	}
-	if err := snapshotBest(st, s.res); err != nil {
+	st, err := snapshotOf(s.algo(), s.done, s.rng, s.res)
+	if err != nil {
 		return nil, err
+	}
+	st.WarmupLeft, st.Fails = s.warmupLeft, s.fails
+	if s.anneal && s.cur != nil {
+		if st.Cur, err = s.cur.Encode(); err != nil {
+			return nil, fmt.Errorf("search: snapshot working mapping: %w", err)
+		}
+		st.Temp = s.temp
 	}
 	return st, nil
 }
 
 // Restore implements Searcher.
 func (s *HillClimbSearcher) Restore(st *checkpoint.SearchState) error {
-	if st.Algo != "hillclimb" {
-		return fmt.Errorf("search: cannot restore %q snapshot into a hill-climb searcher", st.Algo)
+	if err := restoreInto(st, s.algo(), s.rng, s.sp, s.res); err != nil {
+		return err
 	}
-	if st.RNG == nil {
-		return errors.New("search: hill-climb snapshot lacks RNG state")
-	}
-	*s.rng = *st.RNG.Clone()
-	s.res.Evaluated, s.res.Valid = st.Evaluated, st.Valid
 	s.warmupLeft, s.fails, s.done = st.WarmupLeft, st.Fails, st.Done
-	s.res.Trace = decodeTrace(st.Trace)
 	// The delta session is process-local: drop it and re-seed from the
-	// restored incumbent on the next climb step.
-	s.cur, s.climbReady = nil, false
-	return restoreBest(st, s.sp, s.res)
+	// working mapping (the annealer's, or else the incumbent) on the next
+	// walk step.
+	s.climbReady, s.temp = false, st.Temp
+	var err error
+	s.cur, err = decodeMapping(st.Cur, s.sp, "working mapping")
+	return err
 }
 
 // exhaustiveBatch is the number of enumerated mappings evaluated per Step
@@ -551,10 +653,7 @@ func (s *ExhaustiveSearcher) Step(ctx context.Context) (bool, error) {
 	}
 	if n == 0 {
 		s.done = true
-		if s.res.Best != nil {
-			met.BestObjective(s.opt.Objective.Value(&s.res.BestCost))
-		}
-		met.SearchDone(time.Since(s.start), s.res.Evaluated, s.res.Valid) //ruby:allow determinism -- wall time feeds Metrics.SearchDone only; never enters a snapshot
+		reportDone(met, s.opt.Objective, s.res, s.start)
 		return true, nil
 	}
 
@@ -576,11 +675,8 @@ func (s *ExhaustiveSearcher) Step(ctx context.Context) (bool, error) {
 		s.res.Evaluated++
 		if c.Valid {
 			s.res.Valid++
-			if s.res.Best == nil || s.opt.Objective.Value(&c) < s.opt.Objective.Value(&s.res.BestCost) {
-				s.res.Best = s.batch[i].Clone()
-				s.res.BestCost = c.Clone()
-				s.res.Trace = append(s.res.Trace, TracePoint{Evals: s.res.Evaluated, Value: s.opt.Objective.Value(&c)})
-				met.Improvement(s.res.Evaluated, s.opt.Objective.Value(&c))
+			if v := s.opt.Objective.Value(&c); s.res.Best == nil || v < s.opt.Objective.Value(&s.res.BestCost) {
+				s.res.improve(s.batch[i], &c, v, met)
 			}
 		}
 	}
@@ -589,33 +685,24 @@ func (s *ExhaustiveSearcher) Step(ctx context.Context) (bool, error) {
 
 // Snapshot implements Searcher.
 func (s *ExhaustiveSearcher) Snapshot() (*checkpoint.SearchState, error) {
-	st := &checkpoint.SearchState{
-		Algo: "exhaustive", Done: s.done,
-		Evaluated: s.res.Evaluated, Valid: s.res.Valid,
-		Enumerated: s.taken, EnumIndex: s.en.Index(), EnumDone: s.en.Done(),
-		Trace: encodeTrace(s.res.Trace),
-	}
-	if err := snapshotBest(st, s.res); err != nil {
+	st, err := snapshotOf("exhaustive", s.done, nil, s.res)
+	if err != nil {
 		return nil, err
 	}
+	st.Enumerated, st.EnumIndex, st.EnumDone = s.taken, s.en.Index(), s.en.Done()
 	return st, nil
 }
 
 // Restore implements Searcher.
 func (s *ExhaustiveSearcher) Restore(st *checkpoint.SearchState) error {
-	if st.Algo != "exhaustive" {
-		return fmt.Errorf("search: cannot restore %q snapshot into an exhaustive searcher", st.Algo)
+	if err := restoreInto(st, "exhaustive", nil, s.sp, s.res); err != nil {
+		return err
 	}
 	if s.restrictErr != nil {
 		return s.restrictErr
 	}
-	if err := s.en.SetIndex(st.EnumIndex, st.EnumDone); err != nil {
-		return err
-	}
-	s.res.Evaluated, s.res.Valid = st.Evaluated, st.Valid
 	s.taken, s.done = st.Enumerated, st.Done
-	s.res.Trace = decodeTrace(st.Trace)
-	return restoreBest(st, s.sp, s.res)
+	return s.en.SetIndex(st.EnumIndex, st.EnumDone)
 }
 
 // CheckpointConfig configures RunCheckpointed's snapshot persistence.

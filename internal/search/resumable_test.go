@@ -4,11 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
+	"ruby/internal/arch"
 	"ruby/internal/checkpoint"
 	"ruby/internal/engine"
 	"ruby/internal/mapspace"
+	"ruby/internal/nest"
+	"ruby/internal/workloads"
 )
 
 func toyEngine(kind mapspace.Kind, workers int) (*mapspace.Space, *engine.Engine) {
@@ -31,6 +35,12 @@ func searcherVariants() map[string]newSearcherFn {
 		},
 		"guided": func(sp *mapspace.Space, eng *engine.Engine) Searcher {
 			return NewGuided(sp, eng, Options{Seed: 11, MaxEvaluations: 2000})
+		},
+		"anneal": func(sp *mapspace.Space, eng *engine.Engine) Searcher {
+			return NewAnneal(sp, eng, Options{Seed: 11, MaxEvaluations: 640, Warmup: 100})
+		},
+		"genetic": func(sp *mapspace.Space, eng *engine.Engine) Searcher {
+			return NewGenetic(sp, eng, Options{Seed: 11, MaxEvaluations: 640})
 		},
 	}
 }
@@ -154,6 +164,109 @@ func TestCancelMidStepThenResume(t *testing.T) {
 			}
 			got := runToCompletion(t, r)
 			sameResult(t, name, got, want)
+		})
+	}
+}
+
+// cancelAfter is a Metrics hook that cancels its context when its
+// countdown of evaluations reaches zero, cutting a batch off part way.
+type cancelAfter struct {
+	engine.Metrics
+	left   atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Evaluation(bool, bool) {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+}
+
+// suiteLayer builds the space of a ResNet-50 layer on the Simba-like array
+// that also explores loop orders and bypass, and an engine from cfg. Unlike
+// the toy, where every searcher soon pins the one optimum, a wrong draw or
+// a lost piece of state here changes the final result.
+func suiteLayer(cfg engine.Config) (*mapspace.Space, *engine.Engine) {
+	layer := workloads.ResNet50()[3]
+	simba := arch.SimbaLike(15, 4, 4)
+	cons := mapspace.SimbaDataflow(layer.Work)
+	cons.ExploreBypass = true
+	return mapspace.New(layer.Work, simba, mapspace.RubyS, cons), cfg.New(nest.MustEvaluator(layer.Work, simba))
+}
+
+// A batch searcher cancelled part way through a batch rolls the whole batch
+// back, RNG included: resuming from its snapshot finishes exactly as an
+// uninterrupted run.
+func TestCancelMidBatchThenResume(t *testing.T) {
+	for _, name := range []string{"random", "genetic"} {
+		t.Run(name, func(t *testing.T) {
+			mk := searcherVariants()[name]
+			want := runToCompletion(t, mk(suiteLayer(engine.Config{Workers: 1})))
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			hook := &cancelAfter{Metrics: engine.NopMetrics, cancel: cancel}
+			s := mk(suiteLayer(engine.Config{Workers: 1, Metrics: hook}))
+			if _, err := s.Step(ctx); err != nil {
+				t.Fatal(err)
+			}
+			before := s.Result().Evaluated
+			hook.left.Store(10)
+			if _, err := s.Step(ctx); err == nil {
+				t.Fatal("Step cut off mid-batch returned nil error")
+			}
+			if got := s.Result().Evaluated; got != before {
+				t.Errorf("cut-off Step committed %d evaluations", got-before)
+			}
+			st, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			r := mk(suiteLayer(engine.Config{Workers: 2}))
+			if err := r.Restore(st); err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, name, runToCompletion(t, r), want)
+		})
+	}
+}
+
+// The toy has one dimension and fixed loop orders; on a suite layer whose
+// space also explores loop orders and bypass, the mappings in anneal and
+// genetic snapshots (the annealer's working mapping, the genetic
+// population) and the temperature must survive a JSON round trip and
+// resume bit-identically.
+func TestKillAndResumeOnSuiteLayer(t *testing.T) {
+	for _, name := range []string{"anneal", "genetic"} {
+		mk := searcherVariants()[name]
+		t.Run(name, func(t *testing.T) {
+			want := runToCompletion(t, mk(suiteLayer(engine.Config{Workers: 2})))
+			for _, stop := range []int{1, 3, 7} {
+				s := mk(suiteLayer(engine.Config{Workers: 2}))
+				for i := 0; i < stop; i++ {
+					if _, err := s.Step(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st, err := s.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := json.Marshal(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var back checkpoint.SearchState
+				if err := json.Unmarshal(raw, &back); err != nil {
+					t.Fatal(err)
+				}
+				r := mk(suiteLayer(engine.Config{Workers: 1}))
+				if err := r.Restore(&back); err != nil {
+					t.Fatalf("stop=%d Restore: %v", stop, err)
+				}
+				sameResult(t, name, runToCompletion(t, r), want)
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"ruby/internal/engine"
 	"ruby/internal/mapspace"
@@ -14,15 +15,13 @@ var Algorithms = []string{
 }
 
 // ResumableAlgorithms lists the algorithm names NewSearcherFor accepts —
-// the searchers implementing the resumable Step/Snapshot/Restore contract.
-var ResumableAlgorithms = []string{"random", "guided", "hillclimb", "exhaustive"}
+// the searchers implementing the resumable Step/Snapshot/Restore contract:
+// every algorithm but the portfolio, which runs its members one-shot.
+var ResumableAlgorithms = []string{"random", "guided", "hillclimb", "anneal", "genetic", "exhaustive"}
 
 // Run dispatches a one-shot search by algorithm name. The empty name selects
-// random sampling (the paper's baseline procedure). For the searchers with
-// their own option structs (anneal, genetic), opt.MaxEvaluations is
-// translated into an equivalent step or generation budget, matching the
-// portfolio's accounting. Unknown names are an error, so callers can pass
-// flag and request strings straight through.
+// random sampling (the paper's baseline procedure). Unknown names are an
+// error, so callers can pass flag and request strings straight through.
 func Run(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, algo string, opt Options) (*Result, error) {
 	switch algo {
 	case "", "random":
@@ -31,26 +30,12 @@ func Run(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, algo strin
 		return Guided(ctx, sp, eng, opt), nil
 	case "hillclimb":
 		return HillClimb(ctx, sp, eng, opt), nil
+	case "anneal":
+		return Anneal(ctx, sp, eng, opt), nil
+	case "genetic":
+		return Genetic(ctx, sp, eng, opt), nil
 	case "exhaustive":
 		return Exhaustive(ctx, sp, eng, opt, opt.MaxEvaluations), nil
-	case "anneal":
-		ao := AnnealOptions{Seed: opt.Seed, Objective: opt.Objective}
-		if opt.MaxEvaluations > 0 {
-			warm := int(opt.MaxEvaluations) / 10
-			ao.Warmup, ao.Steps = warm, int(opt.MaxEvaluations)-warm
-		}
-		return Anneal(ctx, sp, eng.Evaluator(), ao), nil
-	case "genetic":
-		gopt := GeneticOptions{Seed: opt.Seed, Objective: opt.Objective}
-		if opt.MaxEvaluations > 0 {
-			gopt.Population = 64
-			if gens := int(opt.MaxEvaluations)/gopt.Population - 1; gens >= 1 {
-				gopt.Generations = gens
-			} else {
-				gopt.Generations = 1
-			}
-		}
-		return Genetic(ctx, sp, eng.Evaluator(), gopt), nil
 	case "portfolio":
 		return Portfolio(ctx, sp, eng, opt), nil
 	default:
@@ -69,9 +54,14 @@ func NewSearcherFor(algo string, sp *mapspace.Space, eng *engine.Engine, opt Opt
 		return NewGuided(sp, eng, opt), nil
 	case "hillclimb":
 		return NewHillClimb(sp, eng, opt), nil
+	case "anneal":
+		return NewAnneal(sp, eng, opt), nil
+	case "genetic":
+		return NewGenetic(sp, eng, opt), nil
 	case "exhaustive":
 		return NewExhaustive(sp, eng, opt, maxEnum), nil
 	default:
-		return nil, fmt.Errorf("search: algorithm %q is not resumable (want one of random|guided|hillclimb|exhaustive)", algo)
+		return nil, fmt.Errorf("search: algorithm %q is not resumable (want one of %s)",
+			algo, strings.Join(ResumableAlgorithms, "|"))
 	}
 }

@@ -1,9 +1,11 @@
 // Package search finds high-quality mappings within a mapspace. It provides
 // the paper's search procedure — Timeloop-style parallel random sampling with
 // a consecutive-non-improving-valid-mappings termination criterion — plus an
-// exhaustive searcher for the toy studies and a greedy hill-climber as an
-// orthogonal search strategy (the paper notes Ruby composes with improved
-// search techniques).
+// exhaustive searcher for the toy studies and orthogonal search strategies
+// (the paper notes Ruby composes with improved search techniques): greedy
+// hill climbing, simulated annealing, a genetic algorithm, the model-guided
+// mapper and a portfolio of them. Every searcher but the portfolio is also a
+// resumable Searcher (ResumableAlgorithms).
 //
 // Every searcher has one context-first entry point taking the evaluation
 // pipeline (engine.Engine — cancellation, memoization, metrics): pass
@@ -43,9 +45,10 @@ type Options struct {
 	Threads int
 	// MaxEvaluations caps the total number of sampled mappings (0 = no cap).
 	MaxEvaluations int64
-	// ConsecutiveNoImprove terminates the search once this many valid
-	// mappings in a row fail to improve the best EDP (the paper uses 3000).
-	// 0 disables the criterion (then MaxEvaluations must be set).
+	// ConsecutiveNoImprove terminates a random or genetic search once this
+	// many valid mappings in a row fail to improve the best EDP (the paper
+	// uses 3000). 0 disables the criterion (then MaxEvaluations must be
+	// set).
 	ConsecutiveNoImprove int64
 	// KeepTrace records the improvement events for convergence plots
 	// (Fig. 7).
@@ -56,8 +59,8 @@ type Options struct {
 	// the constructive heuristic mapper); it is evaluated before sampling
 	// begins and counts as the incumbent if valid.
 	WarmStart *mapping.Mapping
-	// Warmup is the number of random samples seeding HillClimb's greedy
-	// phase (0 = default 1000; other searchers ignore it).
+	// Warmup is the number of random samples seeding the HillClimb and
+	// Anneal walks (0 = default 1000; other searchers ignore it).
 	Warmup int
 	// Patience is the number of consecutive failed HillClimb proposals
 	// before the climb stops (0 = default 2000; other searchers ignore it).
@@ -244,10 +247,7 @@ func Random(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Opt
 
 	res := &Result{Best: st.best, BestCost: st.bestCost, Valid: st.valid, Trace: st.trace}
 	res.Evaluated = st.evaluated.Load()
-	if res.Best != nil {
-		met.BestObjective(opt.Objective.Value(&res.BestCost))
-	}
-	met.SearchDone(time.Since(start), res.Evaluated, res.Valid)
+	reportDone(met, opt.Objective, res, start)
 	return res
 }
 
@@ -278,6 +278,28 @@ func HillClimb(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt 
 	ctx, span := obs.StartSpan(ctx, "search:hillclimb")
 	defer span.End()
 	return stepToDone(ctx, NewHillClimb(sp, eng, opt))
+}
+
+// Anneal is simulated annealing: HillClimb's warm-up and Move walk, with
+// worsening moves accepted with Boltzmann probability under a geometrically
+// cooled temperature, which escapes the local optima that trap greedy
+// search in the large Ruby mapspaces. The warm-up sample count comes from
+// opt.Warmup, and the temperature cools over the opt.MaxEvaluations budget
+// left after it. It is NewAnneal stepped to completion.
+func Anneal(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options) *Result {
+	ctx, span := obs.StartSpan(ctx, "search:anneal")
+	defer span.End()
+	return stepToDone(ctx, NewAnneal(sp, eng, opt))
+}
+
+// Genetic evolves a population of mappings by tournament selection,
+// crossover and mutation, evaluating each generation as one engine batch,
+// until opt.MaxEvaluations or opt.ConsecutiveNoImprove ends it. It is
+// NewGenetic stepped to completion.
+func Genetic(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options) *Result {
+	ctx, span := obs.StartSpan(ctx, "search:genetic")
+	defer span.End()
+	return stepToDone(ctx, NewGenetic(sp, eng, opt))
 }
 
 // requireSharedContext asserts that the mapspace and the engine's evaluator

@@ -10,11 +10,15 @@ import (
 	"time"
 )
 
-func jobBody(maxEvals int) string {
+func jobBody(maxEvals int) string { return searchJobBody("", maxEvals) }
+
+// searchJobBody is jobBody running the named search algorithm ("" selects
+// the server's default).
+func searchJobBody(algo string, maxEvals int) string {
 	return `{
 	  "workload": ` + toyWorkloadJSON + `,
 	  "arch": ` + toyArchJSON + `,
-	  "mapspace": "ruby-s",
+	  "mapspace": "ruby-s", "search": "` + algo + `",
 	  "seed": 7, "max_evaluations": ` + strconv.Itoa(maxEvals) + `
 	}`
 }
@@ -123,51 +127,57 @@ func TestJobsSurviveRestart(t *testing.T) {
 }
 
 // A job interrupted by a graceful shutdown resumes on the next startup and
-// finishes with the same result as an uninterrupted run.
+// finishes with the same result as an uninterrupted run, whichever
+// resumable searcher it runs.
 func TestInterruptedJobResumesDeterministically(t *testing.T) {
-	// Reference: the same job run uninterrupted.
-	ref, err := NewService(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, out := do(t, ref, "POST", "/v1/jobs", jobBody(60000))
-	want := waitJob(t, ref, out["id"].(string), JobDone)["result"].(map[string]any)
+	for _, algo := range []string{"", "anneal", "genetic"} {
+		t.Run("search="+algo, func(t *testing.T) {
+			body := searchJobBody(algo, 60000)
+			// Reference: the same job run uninterrupted.
+			ref, err := NewService(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, out := do(t, ref, "POST", "/v1/jobs", body)
+			want := waitJob(t, ref, out["id"].(string), JobDone)["result"].(map[string]any)
 
-	dir := t.TempDir()
-	srv, err := NewService(Options{StateDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, out = do(t, srv, "POST", "/v1/jobs", jobBody(60000))
-	id := out["id"].(string)
-	// Shut down almost immediately: the job is still running.
-	time.Sleep(10 * time.Millisecond)
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	rec, out := do(t, srv, "GET", "/v1/jobs/"+id, "")
-	if rec.Code != http.StatusOK {
-		t.Fatal("job lost at shutdown")
-	}
-	if s := out["status"]; s != JobInterrupted && s != JobDone {
-		t.Fatalf("status %v after drain, want interrupted (or done if it won the race)", s)
-	}
+			dir := t.TempDir()
+			srv, err := NewService(Options{StateDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, out = do(t, srv, "POST", "/v1/jobs", body)
+			id := out["id"].(string)
+			// Shut down almost immediately: the job is still running.
+			time.Sleep(10 * time.Millisecond)
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			rec, out := do(t, srv, "GET", "/v1/jobs/"+id, "")
+			if rec.Code != http.StatusOK {
+				t.Fatal("job lost at shutdown")
+			}
+			if s := out["status"]; s != JobInterrupted && s != JobDone {
+				t.Fatalf("status %v after drain, want interrupted (or done if it won the race)", s)
+			}
 
-	srv2, err := NewService(Options{StateDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitJob(t, srv2, id, JobDone)["result"].(map[string]any)
-	if got["evaluated"] != want["evaluated"] {
-		t.Errorf("resumed job evaluated %v, want %v", got["evaluated"], want["evaluated"])
-	}
-	gc, wc := got["cost"].(map[string]any), want["cost"].(map[string]any)
-	if gc["EDP"] != wc["EDP"] || gc["Cycles"] != wc["Cycles"] {
-		t.Errorf("resumed job cost (EDP %v, cycles %v), want (EDP %v, cycles %v)",
-			gc["EDP"], gc["Cycles"], wc["EDP"], wc["Cycles"])
-	}
-	if err := srv2.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
+			srv2, err := NewService(Options{StateDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := waitJob(t, srv2, id, JobDone)["result"].(map[string]any)
+			if got["evaluated"] != want["evaluated"] {
+				t.Errorf("resumed job evaluated %v, want %v", got["evaluated"], want["evaluated"])
+			}
+			gc, wc := got["cost"].(map[string]any), want["cost"].(map[string]any)
+			if gc["EDP"] != wc["EDP"] || gc["Cycles"] != wc["Cycles"] {
+				t.Errorf("resumed job cost (EDP %v, cycles %v), want (EDP %v, cycles %v)",
+					gc["EDP"], gc["Cycles"], wc["EDP"], wc["Cycles"])
+			}
+			if err := srv2.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -187,16 +187,12 @@ var (
 
 // Search.
 type (
-	// SearchOptions configures the random-sampling search.
+	// SearchOptions configures every searcher.
 	SearchOptions = search.Options
 	// SearchResult is a search outcome (best mapping, cost, trace).
 	SearchResult = search.Result
-	// GeneticOptions configures the genetic-algorithm searcher.
-	GeneticOptions = search.GeneticOptions
 	// Objective selects the minimized metric.
 	Objective = search.Objective
-	// AnnealOptions configures the simulated-annealing searcher.
-	AnnealOptions = search.AnnealOptions
 )
 
 // Evaluation engine: the pipeline behind every searcher, adding context
@@ -278,19 +274,18 @@ var (
 	// "guided", "hillclimb", "anneal", "genetic", "portfolio",
 	// "exhaustive"; "" means random).
 	SearchRun = search.Run
-	// SearchGenetic runs the GAMMA-style genetic-algorithm extension.
+	// SearchGenetic runs the GAMMA-style genetic-algorithm extension
+	// through the engine's batch evaluation.
 	SearchGenetic = search.Genetic
 	// ConstructMapping builds one mapping deterministically with the
 	// COSA-style constructive heuristic (no search).
 	ConstructMapping = heuristic.Construct
-	// SearchAnneal runs the simulated-annealing extension.
+	// SearchAnneal runs the simulated-annealing extension (the warm-up
+	// comes from SearchOptions.Warmup).
 	SearchAnneal = search.Anneal
 	// SearchPortfolio splits a budget across all searchers and returns the
 	// overall best.
 	SearchPortfolio = search.Portfolio
-	// SearchParetoFront samples the mapspace and returns the energy-delay
-	// non-dominated mappings.
-	SearchParetoFront = search.ParetoFront
 )
 
 // Checkpointing: crash-safe search orchestration (see docs/ARCHITECTURE.md).
@@ -318,6 +313,10 @@ var (
 	NewRandomSearcher = search.NewRandom
 	// NewHillClimbSearcher builds the resumable hill-climbing searcher.
 	NewHillClimbSearcher = search.NewHillClimb
+	// NewAnnealSearcher builds the resumable simulated-annealing searcher.
+	NewAnnealSearcher = search.NewAnneal
+	// NewGeneticSearcher builds the resumable genetic-algorithm searcher.
+	NewGeneticSearcher = search.NewGenetic
 	// NewGuidedSearcher builds the resumable model-guided searcher.
 	NewGuidedSearcher = search.NewGuided
 	// NewExhaustiveSearcher builds the resumable exhaustive scanner.
