@@ -134,7 +134,7 @@ func BenchmarkEngineUncached(b *testing.B) {
 
 // BenchmarkExhaustiveScan measures the in-place exhaustive scan on one
 // fleet-exhaustive shape (a 360x180x36 matmul, Ruby-S, on the Fig. 5
-// global-buffer toy: 195,520 mappings) through a 1-worker engine: the
+// global-buffer toy: 195,520 mappings) on one thread: the
 // enumerator rewriting one batch of reused mappings, lowering, compiled
 // evaluation through the engine batch and the serial incumbent commit. One
 // op is the whole scan; ns/mapping is the per-mapping cost. The
@@ -145,11 +145,11 @@ func BenchmarkExhaustiveScan(b *testing.B) {
 	w := workload.MustMatmul("mm360x180x36", 360, 180, 36)
 	a := arch.ToyGLB(6, 512)
 	sp := mapspace.New(w, a, mapspace.RubyS, mapspace.Constraints{})
-	eng := engine.Config{Workers: 1}.New(nest.MustEvaluator(w, a))
+	eng := engine.New(nest.MustEvaluator(w, a))
 	var mappings int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mappings += search.Exhaustive(context.Background(), sp, eng, search.Options{}, 0).Evaluated
+		mappings += search.Exhaustive(context.Background(), sp, eng, search.Options{Threads: 1}, 0).Evaluated
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(mappings), "ns/mapping")
 }

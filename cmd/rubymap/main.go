@@ -208,7 +208,7 @@ func main() {
 		if *slowEval > 0 || *slowSearch > 0 {
 			ins.Slow = &obs.SlowLog{EvalThreshold: *slowEval, SearchThreshold: *slowSearch}
 		}
-		eng := engine.Config{CacheEntries: *cacheN, Metrics: ins, Workers: *threads}.New(ev)
+		eng := engine.Config{CacheEntries: *cacheN, Metrics: ins}.New(ev)
 		if *cpDir != "" || *resume || *searcher == "exhaustive" {
 			res, err = runCheckpointable(ctx, *searcher, sp, eng, ev, k, cons, opt, *evals, *cpDir, *resume)
 			if err != nil {

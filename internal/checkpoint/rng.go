@@ -15,8 +15,8 @@ import (
 // the interrupted run would have continued with.
 //
 // The 256-bit state is serialized as hexadecimal strings (JSON numbers lose
-// integer precision above 2^53). An RNG is not safe for concurrent use; the
-// resumable searchers draw from a single goroutine by design.
+// integer precision above 2^53). An RNG is not safe for concurrent use:
+// each goroutine of a search draws from its own.
 type RNG struct {
 	s [4]uint64
 }
@@ -35,13 +35,26 @@ func NewRNG(seed int64) *RNG {
 func (r *RNG) Seed(seed int64) {
 	x := uint64(seed)
 	for i := range r.s {
-		// splitmix64 step.
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		x += golden // splitmix64 step
+		r.s[i] = mix64(x)
 	}
+}
+
+// SeedDraw resets the state to that of draw k of the stream seeded by seed:
+// the pair runs through splitmix64, so any goroutine can reproduce draw k
+// without making the draws before it.
+func (r *RNG) SeedDraw(seed, k int64) {
+	r.Seed(int64(mix64(mix64(uint64(seed)+golden) + uint64(k))))
+}
+
+// golden is splitmix64's increment, 2^64 over the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
+// mix64 is splitmix64's output function, a bijection on uint64.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Uint64 returns the next value of the sequence. It implements

@@ -19,10 +19,9 @@ const KindJob = "job"
 // persistence: the plan plus per-shard progress and held snapshots).
 const KindShards = "shards"
 
-// TracePoint mirrors search.TracePoint (one incumbent-improvement event) in
-// serialized form; the search package converts in both directions. Keeping a
-// local copy avoids an import cycle — search depends on checkpoint for its
-// snapshot types.
+// TracePoint is one incumbent-improvement event: after Evals evaluated
+// mappings the best objective value dropped to Value. search.TracePoint is
+// an alias of it, so search results and snapshots share one form.
 type TracePoint struct {
 	Evals int64   `json:"evals"`
 	Value float64 `json:"value"`
@@ -42,8 +41,12 @@ type SearchState struct {
 	Algo string `json:"algo"`
 	// Done marks a search that ran to completion (resuming it is a no-op).
 	Done bool `json:"done,omitempty"`
-	// RNG is the serialized draw state (nil for the deterministic
-	// enumeration of the exhaustive searcher).
+	// RNG is the serialized draw state of the searchers that draw from one
+	// RNG (hill climb, anneal, guided, genetic). It is nil for the
+	// exhaustive scan, which draws nothing, and for random search, whose
+	// draw k is seeded from (seed, k), so Evaluated is its draw position;
+	// a random snapshot that carries one was written under the old serial
+	// draw scheme and is rejected on restore.
 	RNG *RNG `json:"rng,omitempty"`
 
 	// Evaluated, Valid and NoImprove are the search counters at the

@@ -103,9 +103,9 @@ func TestExhaustiveFleetShapesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []string
-		eng := engine.Config{CacheEntries: localCacheEntries, Workers: 2}.New(ev)
+		eng := engine.Config{CacheEntries: localCacheEntries}.New(ev)
 		for _, sh := range plan.Shards {
-			res := search.Exhaustive(ctx, sp, eng, sh.Options(search.Options{Algo: "exhaustive"}), 0)
+			res := search.Exhaustive(ctx, sp, eng, sh.Options(search.Options{Algo: "exhaustive", Threads: 2}), 0)
 			got = append(got, shardDigest(t, sh.Index, res))
 		}
 		m, err := RunLocal(ctx, spec, plan)

@@ -11,38 +11,99 @@ import (
 	"ruby/internal/obs"
 )
 
-// Batch is the engine's reusable parallel evaluator: it evaluates slices of
-// mappings on up to Config.Workers goroutines, preserving order, and keeps
-// what it needs across calls — one Worker (model scratch) per goroutine and
-// the result storage — so a searcher evaluating batch after batch allocates
-// nothing per batch at steady state.
+// Batch is the engine's reusable parallel driver. Its one claim loop (Run)
+// hands out consecutive index ranges of a job to a fixed number of
+// goroutines, and Evaluate runs a slice of mappings through it, preserving
+// order. A Batch keeps what it needs across calls — one Worker (model
+// scratch) per goroutine and the result storage — so a searcher evaluating
+// batch after batch allocates nothing per batch at steady state.
 //
-// A Batch belongs to one caller at a time. Within an Evaluate call each
-// worker's scratch belongs to exactly one goroutine, and Evaluate returns
-// only after every goroutine has finished, which orders successive batches.
+// A Batch belongs to one caller at a time. Within a Run each worker's
+// scratch belongs to exactly one goroutine, and Run returns only after
+// every goroutine has finished, which orders successive calls.
 type Batch struct {
 	e *Engine
 	// memo routes evaluations through the engine's memo cache; it is false
 	// when the engine has none or the batch bypasses it.
 	memo    bool
+	threads int
 	workers []*Worker
-	out     []nest.Cost
+	// ms is the slice Evaluate is evaluating, and evalFn the function it
+	// runs, built once so that Evaluate allocates nothing.
+	ms     []*mapping.Mapping
+	evalFn func(ctx context.Context, t int, w *Worker, lo, hi int) bool
+	out    []nest.Cost
 	// levels backs the per-level slices of scratch-backed results: stride
 	// words per slot, so a slot's result survives its worker's next
 	// evaluation until the next Evaluate call.
 	levels []float64
 	stride int
 	next   atomic.Int64
+	stop   atomic.Bool
 	wg     sync.WaitGroup
 }
 
-// NewBatch builds a reusable batch evaluator. With memo set, evaluations go
+// NewBatch builds a reusable batch driver on threads goroutines (at least
+// one; the caller's goroutine is the first). With memo set, evaluations go
 // through the engine's memo cache (when the engine has one), which pays off
 // for searchers that revisit mappings, such as random sampling. A scan that
 // never visits a mapping twice passes false: it neither reads nor fills the
 // cache, since every lookup would miss and every insert would only evict.
-func (e *Engine) NewBatch(memo bool) *Batch {
-	return &Batch{e: e, memo: memo && e.cache != nil, stride: 3 * len(e.ev.Arch.Levels)}
+func (e *Engine) NewBatch(memo bool, threads int) *Batch {
+	b := &Batch{e: e, memo: memo && e.cache != nil, threads: max(threads, 1), stride: 3 * len(e.ev.Arch.Levels)}
+	b.evalFn = b.evalChunk
+	return b
+}
+
+// claimChunk is how many consecutive indices a goroutine of Run claims at
+// a time. On a 2-vCPU host, 16-slot claims cut a 2-worker exhaustive scan's
+// time per mapping by about 15% against claiming one slot at a time.
+const claimChunk = 16
+
+// Run is the batch's claim loop: it calls fn over the indices [0, n) on up
+// to the batch's thread count of goroutines. Each goroutine t claims a
+// range [lo, hi) of consecutive indices at a time from a shared counter, in
+// increasing order, and passes it to fn with its own Worker w; it stops
+// claiming once the indices are exhausted or some call of fn returned
+// false. Run returns when every goroutine has finished.
+func (b *Batch) Run(ctx context.Context, n int, fn func(ctx context.Context, t int, w *Worker, lo, hi int) bool) {
+	if n == 0 {
+		return
+	}
+	threads := min(b.threads, (n+claimChunk-1)/claimChunk)
+	if len(b.workers) < threads {
+		b.workers = append(b.workers, make([]*Worker, threads-len(b.workers))...)
+	}
+	b.next.Store(0)
+	b.stop.Store(false)
+	b.wg.Add(threads - 1)
+	for t := 1; t < threads; t++ {
+		go func() {
+			defer b.wg.Done()
+			b.claim(ctx, n, t, fn)
+		}()
+	}
+	b.claim(ctx, n, 0, fn)
+	b.wg.Wait()
+}
+
+// claim is goroutine t's loop of Run. The goroutine builds its own Worker
+// on first use: the allocator then places each scratch in its own
+// processor's memory, where scratches built back to back by one goroutine
+// could share cache lines that both goroutines write.
+func (b *Batch) claim(ctx context.Context, n, t int, fn func(context.Context, int, *Worker, int, int) bool) {
+	if b.workers[t] == nil {
+		b.workers[t] = b.e.NewWorker()
+	}
+	for !b.stop.Load() {
+		lo := int(b.next.Add(claimChunk)) - claimChunk
+		if lo >= n {
+			return
+		}
+		if !fn(ctx, t, b.workers[t], lo, min(lo+claimChunk, n)) {
+			b.stop.Store(true)
+		}
+	}
 }
 
 // Evaluate evaluates ms in parallel, preserving order. When ctx is cancelled
@@ -60,60 +121,31 @@ func (e *Engine) NewBatch(memo bool) *Batch {
 func (b *Batch) Evaluate(ctx context.Context, ms []*mapping.Mapping) []nest.Cost {
 	_, span := obs.StartSpan(ctx, "eval-batch")
 	start := time.Now()
-	b.evaluate(ctx, ms)
-	b.e.metrics.BatchLatency(time.Since(start), len(ms))
-	span.End()
-	return b.out
-}
-
-func (b *Batch) evaluate(ctx context.Context, ms []*mapping.Mapping) {
 	n := len(ms)
 	if cap(b.out) < n {
 		b.out = make([]nest.Cost, n)
 		b.levels = make([]float64, n*b.stride)
 	}
 	b.out = b.out[:n]
-	if n == 0 {
-		return
-	}
-	workers := min(b.e.workers, n)
-	for len(b.workers) < workers {
-		b.workers = append(b.workers, b.e.NewWorker())
-	}
-	b.next.Store(0)
-	// The caller's goroutine is worker 0; the others run on their own.
-	b.wg.Add(workers - 1)
-	for t := 1; t < workers; t++ {
-		go func() {
-			defer b.wg.Done()
-			b.run(ctx, ms, b.workers[t])
-		}()
-	}
-	b.run(ctx, ms, b.workers[0])
-	b.wg.Wait()
+	b.ms = ms
+	b.Run(ctx, n, b.evalFn)
+	b.ms = nil
+	b.e.metrics.BatchLatency(time.Since(start), n)
+	span.End()
+	return b.out
 }
 
-// batchChunk is how many consecutive slots a worker claims at a time. On a
-// 2-vCPU host, 16-slot claims cut a 2-worker exhaustive scan's time per
-// mapping by about 15% against claiming one slot at a time.
-const batchChunk = 16
-
-// run claims chunks of slots until the batch is exhausted, evaluating them
+// evalChunk is Evaluate's function for Run: it evaluates the claimed slots
 // on w.
-func (b *Batch) run(ctx context.Context, ms []*mapping.Mapping, w *Worker) {
-	for {
-		lo := int(b.next.Add(batchChunk)) - batchChunk
-		if lo >= len(ms) {
-			return
+func (b *Batch) evalChunk(ctx context.Context, _ int, w *Worker, lo, hi int) bool {
+	for i := lo; i < hi; i++ {
+		if ctx != nil && ctx.Err() != nil {
+			b.out[i] = nest.Cost{Valid: false, Reason: CancelledReason}
+			continue
 		}
-		for i := lo; i < min(lo+batchChunk, len(ms)); i++ {
-			if ctx != nil && ctx.Err() != nil {
-				b.out[i] = nest.Cost{Valid: false, Reason: CancelledReason}
-				continue
-			}
-			b.out[i] = b.evaluateSlot(ms[i], w, i)
-		}
+		b.out[i] = b.evaluateSlot(b.ms[i], w, i)
 	}
+	return true
 }
 
 // evaluateSlot evaluates slot i's mapping on w. An uncached result is

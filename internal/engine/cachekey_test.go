@@ -100,7 +100,7 @@ func TestCacheKeyWorkersConcurrent(t *testing.T) {
 			defer wg.Done()
 			wk := eng.NewWorker()
 			for i, m := range ms {
-				if got := wk.Evaluate(m.Clone()); !reflect.DeepEqual(got, want[i]) {
+				if got := wk.EvaluateShared(m.Clone()); !reflect.DeepEqual(got, want[i]) {
 					t.Errorf("mapping %d: cost %+v, want %+v", i, got, want[i])
 					return
 				}

@@ -21,7 +21,6 @@
 package engine
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -48,9 +47,6 @@ type Config struct {
 	// Metrics receives evaluation and search events. nil disables
 	// instrumentation.
 	Metrics Metrics
-	// Workers bounds Batch parallelism (default: NumCPU, capped at 24 to
-	// match the paper's search setup).
-	Workers int
 	// LatencySampleEvery reports every Nth uncached evaluation's model
 	// latency to Metrics.EvalLatency (counted per worker). 0 selects the
 	// default of 64 — two clock reads per 64 evaluations keep the timing
@@ -69,7 +65,6 @@ type Engine struct {
 	cache       *memoCache
 	firstSlot   []int // per level, its temporal slot (cache keys)
 	metrics     Metrics
-	workers     int
 	sampleEvery uint64 // 0 = latency sampling disabled
 	nEvals      atomic.Uint64
 	// evalHook, when non-nil, replaces the raw model call — test-only
@@ -77,18 +72,12 @@ type Engine struct {
 	evalHook func(*mapping.Mapping) nest.Cost
 }
 
-// New builds an Engine from a Config. A nil-safe Metrics and a worker
-// default are filled in.
+// New builds an Engine from a Config. A nil Metrics is replaced by
+// NopMetrics.
 func (c Config) New(ev *nest.Evaluator) *Engine {
-	e := &Engine{ev: ev, metrics: c.Metrics, workers: c.Workers}
+	e := &Engine{ev: ev, metrics: c.Metrics}
 	if e.metrics == nil {
 		e.metrics = NopMetrics
-	}
-	if e.workers <= 0 {
-		e.workers = runtime.NumCPU()
-		if e.workers > 24 {
-			e.workers = 24
-		}
 	}
 	switch {
 	case c.LatencySampleEvery == 0:
@@ -194,21 +183,11 @@ func (e *Engine) NewWorker() *Worker {
 	return &Worker{e: e, scratch: e.ev.Plan().NewScratch()}
 }
 
-// Evaluate is Engine.Evaluate on the worker's scratch. The returned Cost is
-// stable (detached from the scratch).
-func (w *Worker) Evaluate(m *mapping.Mapping) nest.Cost {
-	c := w.EvaluateShared(m)
-	if w.e.cache == nil {
-		c = c.Clone()
-	}
-	return c
-}
-
-// EvaluateShared evaluates m without detaching the result: the returned
-// Cost's per-level slices alias either the worker's scratch or a cache
-// entry, and scratch-backed results are overwritten by the worker's next
-// evaluation. Callers that retain a cost across evaluations (e.g. a search's
-// running best) must Clone it. This is the zero-allocation steady-state path
+// EvaluateShared is Engine.Evaluate on the worker's scratch, without
+// detaching the result: the returned Cost's per-level slices alias either
+// the worker's scratch or a cache entry, and scratch-backed results are
+// overwritten by the worker's next evaluation. Callers that retain a cost
+// across evaluations (e.g. a search's running best) must Clone it. This is the zero-allocation steady-state path
 // for cache-less tight loops; with a cache, the key is encoded into the
 // worker's own buffer, so a hit allocates nothing either, and a miss
 // allocates the cache entry (key string and cost).

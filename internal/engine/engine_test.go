@@ -132,8 +132,7 @@ func TestEvaluateBatchMatchesSerial(t *testing.T) {
 	sp, ev := toy()
 	ms := samples(sp, 300, 4)
 	serial := New(ev)
-	parallel := Config{Workers: 8}.New(ev)
-	got := parallel.NewBatch(true).Evaluate(context.Background(), ms)
+	got := New(ev).NewBatch(true, 8).Evaluate(context.Background(), ms)
 	for i, m := range ms {
 		want := serial.Evaluate(m)
 		if !reflect.DeepEqual(got[i], want) {
@@ -147,7 +146,7 @@ func TestEvaluateBatchCancelled(t *testing.T) {
 	ms := samples(sp, 100, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := Config{Workers: 4}.New(ev).NewBatch(true).Evaluate(ctx, ms)
+	out := New(ev).NewBatch(true, 4).Evaluate(ctx, ms)
 	if len(out) != len(ms) {
 		t.Fatalf("batch length %d, want %d", len(out), len(ms))
 	}
@@ -165,7 +164,7 @@ func TestBatchReuse(t *testing.T) {
 	sp, ev := toy()
 	serial := New(ev)
 	for _, cacheEntries := range []int{0, 1 << 12} {
-		b := Config{Workers: 4, CacheEntries: cacheEntries}.New(ev).NewBatch(true)
+		b := Config{CacheEntries: cacheEntries}.New(ev).NewBatch(true, 4)
 		var scratches []*nest.Scratch
 		for call, n := range []int{300, 7, 256, 1, 0, 300} {
 			ms := samples(sp, n, int64(10+call))
@@ -196,9 +195,9 @@ func TestBatchReuse(t *testing.T) {
 func TestBatchBypassesCache(t *testing.T) {
 	sp, ev := toy()
 	met := &Counters{}
-	eng := Config{Workers: 4, CacheEntries: 1 << 12, Metrics: met}.New(ev)
+	eng := Config{CacheEntries: 1 << 12, Metrics: met}.New(ev)
 	ms := samples(sp, 200, 6)
-	b := eng.NewBatch(false)
+	b := eng.NewBatch(false, 4)
 	b.Evaluate(context.Background(), ms)
 	if n := eng.cache.len(); n != 0 {
 		t.Fatalf("uncached batch inserted %d cache entries", n)
@@ -231,7 +230,7 @@ func TestBatchAllocs(t *testing.T) {
 		smp.SampleInto(rng, ms[i])
 	}
 	for _, tc := range []struct{ workers, allocs int }{{1, 0}, {2, 1}, {4, 3}} {
-		b := Config{Workers: tc.workers}.New(ev).NewBatch(true)
+		b := New(ev).NewBatch(true, tc.workers)
 		b.Evaluate(context.Background(), ms)
 		if allocs := testing.AllocsPerRun(20, func() { b.Evaluate(context.Background(), ms) }); allocs > float64(tc.allocs) {
 			t.Errorf("workers=%d: warm batch allocates %v times, want <= %d", tc.workers, allocs, tc.allocs)

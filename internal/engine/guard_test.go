@@ -97,12 +97,12 @@ func TestWorkerSurvivesPanicAndKeepsEvaluating(t *testing.T) {
 		}
 		return ev.Evaluate(mm)
 	}
-	if c := wk.Evaluate(m); !c.Valid {
+	if c := wk.EvaluateShared(m); !c.Valid {
 		t.Fatalf("worker did not recover: %q", c.Reason)
 	}
 	// Drop the hook: the rebuilt scratch must evaluate correctly.
 	eng.evalHook = nil
-	c := wk.Evaluate(m)
+	c := wk.EvaluateShared(m)
 	if !c.Valid || c.EDP != want.EDP {
 		t.Errorf("post-panic worker cost %+v, want %+v", c, want)
 	}
@@ -115,7 +115,7 @@ func TestBatchIsolatesPanickingMapping(t *testing.T) {
 	a := arch.ToyGLB(6, 512)
 	sp := mapspace.New(w, a, mapspace.PFM, mapspace.Constraints{FixedPerms: true})
 	met := &Counters{}
-	eng := Config{Workers: 4, Metrics: met}.New(nest.MustEvaluator(w, a))
+	eng := Config{Metrics: met}.New(nest.MustEvaluator(w, a))
 
 	var ms []*mapping.Mapping
 	en := sp.NewEnumerator()
@@ -133,7 +133,7 @@ func TestBatchIsolatesPanickingMapping(t *testing.T) {
 		}
 		return ev.Evaluate(m)
 	}
-	out := eng.NewBatch(true).Evaluate(context.Background(), ms)
+	out := eng.NewBatch(true, 4).Evaluate(context.Background(), ms)
 	if !Panicked(&out[0]) {
 		t.Errorf("poisoned slot: %+v", out[0])
 	}
@@ -169,10 +169,10 @@ func TestPanicDegradationIsCached(t *testing.T) {
 // A panic inside a batch rebuilds the scratch of the batch's persistent
 // worker, and the same batch keeps evaluating correctly afterwards.
 func TestBatchPanicRebuildsPersistentScratch(t *testing.T) {
-	eng, m := guardFixture(t, Config{Workers: 1})
+	eng, m := guardFixture(t, Config{})
 	ev := eng.Evaluator()
 	want := ev.Evaluate(m)
-	b := eng.NewBatch(true)
+	b := eng.NewBatch(true, 1)
 	b.Evaluate(context.Background(), []*mapping.Mapping{m})
 	before := b.workers[0].scratch
 	calls := 0

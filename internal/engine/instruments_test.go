@@ -21,7 +21,7 @@ func TestInstrumentsHistogramMatchesCounters(t *testing.T) {
 	eng := Config{Metrics: in, LatencySampleEvery: 1}.New(ev)
 
 	const n = 300
-	eng.NewBatch(true).Evaluate(context.Background(), samples(sp, n, 3))
+	eng.NewBatch(true, 4).Evaluate(context.Background(), samples(sp, n, 3))
 	wk := eng.NewWorker()
 	for _, m := range samples(sp, n, 4) {
 		wk.EvaluateShared(m)

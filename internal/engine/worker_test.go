@@ -13,10 +13,8 @@ import (
 	"ruby/internal/workloads"
 )
 
-// TestWorkerMatchesEngine pins Worker.Evaluate/EvaluateShared to
-// Engine.Evaluate, with and without a cache, and checks the aliasing
-// contract: shared results are overwritten by the next evaluation, cloned
-// ones are not.
+// TestWorkerMatchesEngine pins Worker.EvaluateShared to Engine.Evaluate,
+// with and without a cache.
 func TestWorkerMatchesEngine(t *testing.T) {
 	layer := workloads.ResNet50()[3]
 	a := arch.EyerissLike(14, 12, 128)
@@ -30,7 +28,7 @@ func TestWorkerMatchesEngine(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
 		for i := 0; i < 300; i++ {
 			m := sp.Sample(rng)
-			got := wk.Evaluate(m)
+			got := wk.EvaluateShared(m)
 			want := ref.Evaluate(m)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("cache=%d mapping %d: worker %+v\nengine %+v", cacheEntries, i, got, want)
@@ -72,7 +70,7 @@ func TestWorkerSharedAliasing(t *testing.T) {
 	if &shared.LevelReads[0] == &kept.LevelReads[0] {
 		t.Fatal("Clone did not detach the slices")
 	}
-	if !reflect.DeepEqual(kept, wk.Evaluate(m1)) {
+	if !reflect.DeepEqual(kept, wk.EvaluateShared(m1)) {
 		t.Fatal("cloned cost changed after later evaluations")
 	}
 }

@@ -210,6 +210,27 @@ func TestFig10QuickRun(t *testing.T) {
 	}
 }
 
+// The thread count sets only speed: Fig. 10 at a quick budget prints the
+// same report at one and at three search threads.
+func TestFig10SameAtAnyThreads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite search is slow")
+	}
+	var out [2]string
+	for i, threads := range []int{1, 3} {
+		cfg := Quick()
+		cfg.Opt.MaxEvaluations, cfg.Opt.Threads = 1500, threads
+		rep, err := Fig10(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = rep.String()
+	}
+	if out[0] != out[1] {
+		t.Errorf("fig10 at one thread:\n%s\nat three threads:\n%s", out[0], out[1])
+	}
+}
+
 func TestFig7ChartSeries(t *testing.T) {
 	cfg := Quick()
 	cfg.Opt.MaxEvaluations = 1500

@@ -49,8 +49,7 @@ func TestRandomCancelStopsPromptly(t *testing.T) {
 }
 
 // TestRandomCancelledKeepsWarmStart: even with an already-cancelled
-// context the warm-start incumbent is returned, never lost — by the
-// one-shot Random and by the resumable RandomSearcher alike.
+// context the warm-start incumbent is returned, never lost.
 func TestRandomCancelledKeepsWarmStart(t *testing.T) {
 	sp, ev := toy(mapspace.RubyS)
 	seed := Random(context.Background(), sp, engine.New(ev), Options{Seed: 1, Threads: 2, MaxEvaluations: 500})
@@ -63,17 +62,12 @@ func TestRandomCancelledKeepsWarmStart(t *testing.T) {
 		Seed: 2, Threads: 2, MaxEvaluations: 1 << 40, ConsecutiveNoImprove: 1 << 40,
 		WarmStart: seed.Best,
 	}
-	for name, res := range map[string]*Result{
-		"Random":         Random(ctx, sp, engine.New(ev), opt),
-		"RandomSearcher": stepToDone(ctx, NewRandom(sp, engine.New(ev), opt)),
-	} {
-		if res.Best == nil {
-			t.Errorf("%s: warm start lost under pre-cancelled context", name)
-			continue
-		}
-		if res.BestCost.EDP > seed.BestCost.EDP {
-			t.Errorf("%s: best-so-far worse than warm start: %g > %g", name, res.BestCost.EDP, seed.BestCost.EDP)
-		}
+	res := Random(ctx, sp, engine.New(ev), opt)
+	if res.Best == nil {
+		t.Fatal("warm start lost under pre-cancelled context")
+	}
+	if res.BestCost.EDP > seed.BestCost.EDP {
+		t.Errorf("best-so-far worse than warm start: %g > %g", res.BestCost.EDP, seed.BestCost.EDP)
 	}
 }
 
@@ -143,8 +137,8 @@ func TestExhaustiveHonorsObjective(t *testing.T) {
 // indistinguishable from a serial scan (same best, cost, counters, trace).
 func TestExhaustiveParallelMatchesSerial(t *testing.T) {
 	sp, ev := toy(mapspace.RubyS)
-	serial := Exhaustive(context.Background(), sp, engine.Config{Workers: 1}.New(ev), Options{}, 0)
-	parallel := Exhaustive(context.Background(), sp, engine.Config{Workers: 8}.New(ev), Options{}, 0)
+	serial := Exhaustive(context.Background(), sp, engine.New(ev), Options{Threads: 1}, 0)
+	parallel := Exhaustive(context.Background(), sp, engine.New(ev), Options{Threads: 8}, 0)
 	if serial.Evaluated != parallel.Evaluated || serial.Valid != parallel.Valid {
 		t.Errorf("counters differ: serial %d/%d parallel %d/%d",
 			serial.Valid, serial.Evaluated, parallel.Valid, parallel.Evaluated)

@@ -109,36 +109,36 @@ func scanCases() []scanCase {
 // without a memo cache, serial or parallel.
 func TestExhaustiveMatchesNaiveScan(t *testing.T) {
 	ctx := context.Background()
-	engines := []engine.Config{
-		{Workers: 1}, {Workers: 4}, {Workers: 1, CacheEntries: 1 << 12}, {Workers: 4, CacheEntries: 1 << 12},
-	}
 	for _, tc := range scanCases() {
 		want := naiveScan(t, tc.sp, tc.ev, mapspace.ChainRange{}, 0)
 		if want.Best == nil {
 			t.Fatalf("%s: no valid mapping", tc.name)
 		}
-		for _, cfg := range engines {
-			name := fmt.Sprintf("%s workers=%d cache=%d", tc.name, cfg.Workers, cfg.CacheEntries)
-			sameScan(t, name, Exhaustive(ctx, tc.sp, cfg.New(tc.ev), Options{}, 0), want)
+		for _, threads := range []int{1, 4} {
+			for _, cacheEntries := range []int{0, 1 << 12} {
+				name := fmt.Sprintf("%s threads=%d cache=%d", tc.name, threads, cacheEntries)
+				eng := engine.Config{CacheEntries: cacheEntries}.New(tc.ev)
+				sameScan(t, name, Exhaustive(ctx, tc.sp, eng, Options{Threads: threads}, 0), want)
+			}
 		}
 	}
 
 	// Every shard of a leading-dimension split, and caps that end mid-batch
 	// (exhaustiveBatch is 256), on a parallel cached engine.
 	tc := scanCases()[2] // mm/Ruby-S
-	eng := engine.Config{Workers: 4, CacheEntries: 1 << 12}.New(tc.ev)
+	eng := engine.Config{CacheEntries: 1 << 12}.New(tc.ev)
 	for _, n := range []int{3, 5} {
 		for _, r := range tc.sp.ShardLeading(n) {
 			name := fmt.Sprintf("%s shard [%d,%d)", tc.name, r.Lo, r.Hi)
-			sameScan(t, name, Exhaustive(ctx, tc.sp, eng, Options{Shard: r}, 0), naiveScan(t, tc.sp, tc.ev, r, 0))
+			sameScan(t, name, Exhaustive(ctx, tc.sp, eng, Options{Threads: 4, Shard: r}, 0), naiveScan(t, tc.sp, tc.ev, r, 0))
 		}
 	}
 	for _, capN := range []int64{1, 100, 300, 777} {
 		name := fmt.Sprintf("%s cap %d", tc.name, capN)
-		sameScan(t, name, Exhaustive(ctx, tc.sp, eng, Options{}, capN), naiveScan(t, tc.sp, tc.ev, mapspace.ChainRange{}, capN))
+		sameScan(t, name, Exhaustive(ctx, tc.sp, eng, Options{Threads: 4}, capN), naiveScan(t, tc.sp, tc.ev, mapspace.ChainRange{}, capN))
 	}
 	r := tc.sp.ShardLeading(3)[1]
-	sameScan(t, "shard+cap", Exhaustive(ctx, tc.sp, eng, Options{Shard: r}, 300), naiveScan(t, tc.sp, tc.ev, r, 300))
+	sameScan(t, "shard+cap", Exhaustive(ctx, tc.sp, eng, Options{Threads: 4, Shard: r}, 300), naiveScan(t, tc.sp, tc.ev, r, 300))
 }
 
 // An exhaustive scan neither reads nor fills the engine's memo cache: after
@@ -147,8 +147,8 @@ func TestExhaustiveMatchesNaiveScan(t *testing.T) {
 func TestExhaustiveBypassesCache(t *testing.T) {
 	tc := scanCases()[2]
 	met := &engine.Counters{}
-	eng := engine.Config{Workers: 4, CacheEntries: 1 << 14, Metrics: met}.New(tc.ev)
-	res := Exhaustive(context.Background(), tc.sp, eng, Options{}, 0)
+	eng := engine.Config{CacheEntries: 1 << 14, Metrics: met}.New(tc.ev)
+	res := Exhaustive(context.Background(), tc.sp, eng, Options{Threads: 4}, 0)
 	if s := met.Snapshot(); s.Evaluations != res.Evaluated || s.CacheHits != 0 {
 		t.Fatalf("scan: %d evaluations, %d cache hits; want %d, 0", s.Evaluations, s.CacheHits, res.Evaluated)
 	}
@@ -161,7 +161,7 @@ func TestExhaustiveBypassesCache(t *testing.T) {
 		t.Fatalf("the scan inserted %d of its mappings into the cache", s.CacheHits)
 	}
 	// No lookups: a second scan over the now-filled cache hits nothing.
-	Exhaustive(context.Background(), tc.sp, eng, Options{}, 0)
+	Exhaustive(context.Background(), tc.sp, eng, Options{Threads: 4}, 0)
 	if s := met.Snapshot(); s.CacheHits != 0 || s.Evaluations != 3*res.Evaluated {
 		t.Fatalf("second scan: %d cache hits, %d evaluations; want 0, %d", s.CacheHits, s.Evaluations, 3*res.Evaluated)
 	}
@@ -171,7 +171,7 @@ func TestExhaustiveBypassesCache(t *testing.T) {
 // result storage or a worker scratch: later batches rewrite all three.
 func TestExhaustiveResultsDetached(t *testing.T) {
 	tc := scanCases()[6] // cv/Ruby-S: many batches, improvements past the first
-	s := NewExhaustive(tc.sp, engine.Config{Workers: 2}.New(tc.ev), Options{}, 0)
+	s := NewExhaustive(tc.sp, engine.New(tc.ev), Options{Threads: 2}, 0)
 	type kept struct {
 		m    *mapping.Mapping
 		raw  []byte
@@ -222,7 +222,7 @@ var unbeatable = nest.Cost{Valid: true, EDP: math.SmallestNonzeroFloat64}
 func TestExhaustiveStepAllocs(t *testing.T) {
 	sp, ev := fleetShapeSpace()
 	for _, workers := range []int{1, 2} {
-		s := NewExhaustive(sp, engine.Config{Workers: workers}.New(ev), Options{}, 0)
+		s := NewExhaustive(sp, engine.New(ev), Options{Threads: workers}, 0)
 		start := s.en.Index()
 		if _, err := s.Step(context.Background()); err != nil { // warm: lowerings, scratches, storage
 			t.Fatal(err)
@@ -248,7 +248,7 @@ func TestExhaustiveStepAllocs(t *testing.T) {
 func TestRandomStepAllocs(t *testing.T) {
 	sp, ev := fleetShapeSpace()
 	for _, workers := range []int{1, 2} {
-		s := NewRandom(sp, engine.Config{Workers: workers}.New(ev), Options{Seed: 5, ConsecutiveNoImprove: 1 << 40})
+		s := NewRandom(sp, engine.New(ev), Options{Seed: 5, Threads: workers, ConsecutiveNoImprove: 1 << 40})
 		if _, err := s.Step(context.Background()); err != nil {
 			t.Fatal(err)
 		}

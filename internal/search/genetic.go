@@ -44,8 +44,8 @@ type individual struct {
 // The first Step samples the initial population and every later Step
 // breeds one generation: the elites survive, and the children are drawn
 // serially from one serializable RNG, evaluated as one engine batch and
-// committed in draw order, so the outcome does not depend on the engine's
-// worker count. The search stops at exactly opt.MaxEvaluations, or once
+// committed in draw order, so the outcome does not depend on opt.Threads.
+// The search stops at exactly opt.MaxEvaluations, or once
 // opt.ConsecutiveNoImprove valid children in a row fail to improve the
 // incumbent (the random searcher's rule). Snapshots hold the population;
 // Restore re-derives its fitness.
@@ -71,8 +71,8 @@ type GeneticSearcher struct {
 	start     time.Time
 }
 
-// NewGenetic builds a resumable genetic search. opt.Threads is ignored:
-// parallelism comes from the engine's batch workers (Config.Workers).
+// NewGenetic builds a resumable genetic search that evaluates each
+// generation on opt.Threads goroutines (zero selects min(24, NumCPU)).
 func NewGenetic(sp *mapspace.Space, eng *engine.Engine, opt Options) *GeneticSearcher {
 	opt = opt.withDefaults()
 	s := &GeneticSearcher{
@@ -81,7 +81,7 @@ func NewGenetic(sp *mapspace.Space, eng *engine.Engine, opt Options) *GeneticSea
 		smp: sp.NewSampler(), mut: sp.NewMutator(),
 		// Elites crossed with themselves reproduce their parents, so the
 		// memo cache does get hits.
-		eval: eng.NewBatch(true),
+		eval: eng.NewBatch(true, opt.Threads),
 		dims: sp.Work.DimNames(),
 		res:  &Result{}, start: time.Now(),
 	}

@@ -50,9 +50,10 @@ func TestGeneticCompetitiveWithRandom(t *testing.T) {
 
 func TestGeneticDeterministic(t *testing.T) {
 	sp, ev := toy(mapspace.Ruby)
-	opt := Options{Seed: 5, MaxEvaluations: 364}
+	opt := Options{Seed: 5, Threads: 1, MaxEvaluations: 364}
 	a := Genetic(context.Background(), sp, engine.New(ev), opt)
-	b := Genetic(context.Background(), sp, engine.Config{Workers: 4}.New(ev), opt)
+	opt.Threads = 4
+	b := Genetic(context.Background(), sp, engine.New(ev), opt)
 	sameResult(t, "genetic", b, a)
 }
 

@@ -13,7 +13,6 @@ import (
 	"ruby/internal/mapping"
 	"ruby/internal/mapspace"
 	"ruby/internal/nest"
-	"ruby/internal/obs"
 )
 
 // Guided tuning knobs. They are compile-time constants, not Options: the
@@ -210,9 +209,7 @@ func NewGuided(sp *mapspace.Space, eng *engine.Engine, opt Options) *GuidedSearc
 // best mapping found. See GuidedSearcher for the algorithm; this is the
 // one-shot entry point matching Random and friends.
 func Guided(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options) *Result {
-	ctx, span := obs.StartSpan(ctx, "search:guided")
-	defer span.End()
-	return stepToDone(ctx, NewGuided(sp, eng, opt))
+	return stepToDone(ctx, "search:guided", NewGuided(sp, eng, opt))
 }
 
 // Result returns the result so far.
@@ -268,7 +265,7 @@ func (s *GuidedSearcher) stepSeed(met engine.Metrics) (bool, error) {
 		if s.budgetLeft() {
 			seed := mapping.Uniform(s.sp.Work, s.sp.Arch, 0)
 			s.res.Evaluated++
-			c := s.wk.Evaluate(seed)
+			c := s.wk.EvaluateShared(seed)
 			if c.Valid {
 				s.res.Valid++
 				s.considerBest(seed, &c, met)
@@ -292,7 +289,7 @@ func (s *GuidedSearcher) stepSeed(met engine.Metrics) (bool, error) {
 		}
 		s.res.Evaluated++
 		s.smp.SampleInto(s.rnd, s.m)
-		c := s.wk.Evaluate(s.m)
+		c := s.wk.EvaluateShared(s.m)
 		if c.Valid {
 			s.res.Valid++
 			s.considerBest(s.m, &c, met)
@@ -414,7 +411,7 @@ func (s *GuidedSearcher) evalSeed(m *mapping.Mapping, met engine.Metrics) (float
 		return 0, false
 	}
 	s.res.Evaluated++
-	c := s.wk.Evaluate(m)
+	c := s.wk.EvaluateShared(m)
 	if !c.Valid {
 		return 0, false
 	}
@@ -817,7 +814,7 @@ func (s *GuidedSearcher) restart(met engine.Metrics) (bool, error) {
 			}
 			s.res.Evaluated++
 			s.smp.SampleInto(s.rnd, s.m)
-			c := s.wk.Evaluate(s.m)
+			c := s.wk.EvaluateShared(s.m)
 			if !c.Valid {
 				continue
 			}

@@ -43,7 +43,7 @@ func TestGuidedMatchesExhaustive(t *testing.T) {
 			t.Parallel()
 			sp := mapspace.New(tc.w, tc.a, mapspace.RubyS, mapspace.Constraints{FixedPerms: true})
 			ev := nest.MustEvaluator(tc.w, tc.a)
-			ex := Exhaustive(context.Background(), sp, engine.Config{Workers: 4}.New(ev), Options{}, 0)
+			ex := Exhaustive(context.Background(), sp, engine.New(ev), Options{Threads: 4}, 0)
 			if ex.Best == nil {
 				t.Fatal("exhaustive found no valid mapping")
 			}

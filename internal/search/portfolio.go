@@ -52,12 +52,15 @@ func Portfolio(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt 
 		if share == 0 {
 			continue
 		}
-		mo := Options{Seed: opt.Seed + int64(i), Objective: opt.Objective, MaxEvaluations: share}
-		mo.Warmup = int(share) / 10
-		mo.Patience = int(share) - mo.Warmup
+		// The hill climb's patience is its whole share: only the cap
+		// stops it.
+		mo := Options{
+			Seed: opt.Seed + int64(i), Threads: opt.Threads, Objective: opt.Objective,
+			MaxEvaluations: share, Patience: int(share),
+		}
 		switch mb.name {
 		case "random":
-			mo.Threads, mo.KeepTrace, mo.WarmStart = opt.Threads, opt.KeepTrace, opt.WarmStart
+			mo.KeepTrace, mo.WarmStart = opt.KeepTrace, opt.WarmStart
 		case "guided":
 			mo.WarmStart = opt.WarmStart
 		}

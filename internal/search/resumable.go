@@ -7,6 +7,9 @@ import (
 	"io/fs"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"ruby/internal/checkpoint"
@@ -17,15 +20,15 @@ import (
 	"ruby/internal/obs"
 )
 
-// Searcher is a stepwise, checkpointable search. Unlike the one-shot entry
-// points (Random and friends), a Searcher advances in bounded Steps
-// between which its complete state can be captured (Snapshot) and later
-// re-established in a fresh process (Restore). The determinism contract is
-// strict and pinned by TestKillAndResume*: a search interrupted after any
-// Step — or killed and resumed from its last snapshot — produces a
-// bit-identical final incumbent, cost and evaluation count to an
-// uninterrupted run, because every Searcher consumes its draw sequence in a
-// fixed serial order regardless of evaluation parallelism.
+// Searcher is a stepwise, checkpointable search; the one-shot entry points
+// (Random and friends) step one to completion. A Searcher advances in
+// bounded Steps between which its complete state can be captured
+// (Snapshot) and later re-established in a fresh process (Restore). The
+// determinism contract is strict and pinned by TestKillAndResume*: a
+// search interrupted after any Step — or killed and resumed from its last
+// snapshot — produces a bit-identical final incumbent, cost and evaluation
+// count to an uninterrupted run, at any opt.Threads, because every
+// Searcher commits its draws in a fixed order whatever evaluates them.
 type Searcher interface {
 	// Step performs one bounded chunk of work. It returns done=true when
 	// the search has terminated, or a non-nil error (the context's) when
@@ -42,8 +45,11 @@ type Searcher interface {
 }
 
 // stepToDone steps s until it finishes or ctx is cancelled and returns its
-// result: the one-shot form of a resumable searcher.
-func stepToDone(ctx context.Context, s Searcher) *Result {
+// result, under a trace span of the given name: the one-shot form of a
+// resumable searcher.
+func stepToDone(ctx context.Context, span string, s Searcher) *Result {
+	ctx, sp := obs.StartSpan(ctx, span)
+	defer sp.End()
 	for {
 		if done, err := s.Step(ctx); done || err != nil {
 			return s.Result()
@@ -60,30 +66,6 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// encodeTrace converts the in-memory trace to its serialized form.
-func encodeTrace(tps []TracePoint) []checkpoint.TracePoint {
-	if len(tps) == 0 {
-		return nil
-	}
-	out := make([]checkpoint.TracePoint, len(tps))
-	for i, tp := range tps {
-		out[i] = checkpoint.TracePoint{Evals: tp.Evals, Value: tp.Value}
-	}
-	return out
-}
-
-// decodeTrace is the inverse of encodeTrace.
-func decodeTrace(tps []checkpoint.TracePoint) []TracePoint {
-	if len(tps) == 0 {
-		return nil
-	}
-	out := make([]TracePoint, len(tps))
-	for i, tp := range tps {
-		out[i] = TracePoint{Evals: tp.Evals, Value: tp.Value}
-	}
-	return out
-}
-
 // snapshotOf starts a snapshot of the state every searcher shares: the
 // algorithm, completion, the RNG (nil for the draw-free exhaustive scan),
 // the counters, the trace and the incumbent.
@@ -91,7 +73,7 @@ func snapshotOf(algo string, done bool, rng *checkpoint.RNG, res *Result) (*chec
 	st := &checkpoint.SearchState{
 		Algo: algo, Done: done,
 		Evaluated: res.Evaluated, Valid: res.Valid,
-		Trace: encodeTrace(res.Trace),
+		Trace: slices.Clone(res.Trace),
 	}
 	if rng != nil {
 		st.RNG = rng.Clone()
@@ -121,7 +103,7 @@ func restoreInto(st *checkpoint.SearchState, algo string, rng *checkpoint.RNG, s
 		*rng = *st.RNG
 	}
 	res.Evaluated, res.Valid = st.Evaluated, st.Valid
-	res.Trace = decodeTrace(st.Trace)
+	res.Trace = slices.Clone(st.Trace)
 	res.Best, res.BestCost = nil, nest.Cost{}
 	m, err := decodeMapping(st.Best, sp, "incumbent")
 	if err != nil || m == nil {
@@ -163,29 +145,52 @@ func reportDone(met engine.Metrics, obj Objective, res *Result, start time.Time)
 	met.SearchDone(time.Since(start), res.Evaluated, res.Valid) //ruby:allow determinism -- wall time feeds Metrics.SearchDone only; never enters a snapshot
 }
 
-// randomBatch is the number of sampled mappings evaluated per Step of the
-// resumable random searcher. Large enough to amortize parallel dispatch,
-// small enough that cancellation and checkpoints stay responsive.
-const randomBatch = 256
+// randomWindow is the number of draws one Step of the random searcher
+// claims per goroutine, fewer when the budget left is smaller. A parallel
+// Step ends at a barrier, which the window amortizes (on a 2-vCPU host,
+// 256-draw windows sometimes gained nothing from a second thread); a Step
+// cut off by cancellation commits nothing, so the window also bounds the
+// work a cancellation discards.
+const randomWindow = 512
 
-// RandomSearcher is the checkpointable form of the paper's random-sampling
-// search. Mappings are drawn serially from one serializable RNG into a
-// reused batch and evaluated in parallel through one reusable engine batch,
-// which keeps the engine's memo cache (random sampling does revisit
-// mappings); incumbent updates and the termination criteria are applied in
-// draw order, so the outcome is identical to a serial scan of the same
-// sequence — independent of worker count, and reproducible across
-// interrupt/resume.
+// RandomSearcher is the paper's random-sampling search; Random steps it to
+// completion. Draw k of a search (its 0-based index, Evaluated when it
+// commits) samples with an RNG seeded from (opt.Seed, k), so no draw
+// depends on the goroutine that makes it. Each Step opens a window of the
+// next draws, and opt.Threads goroutines claim chunks of it through the
+// engine batch's claim loop; each goroutine draws and evaluates its claims
+// with its own sampler, mapping and RNG. The draws commit in index order as
+// they complete, under a serial scan's rules: the search stops once
+// opt.ConsecutiveNoImprove valid draws in a row fail to improve the
+// incumbent, or at opt.MaxEvaluations, and no draw past that point is
+// claimed any more. The outcome is therefore the same at any thread count,
+// and a snapshot's draw position is its Evaluated count.
+//
+// A window slot keeps only the draw's objective value. A goroutine clones
+// a draw's mapping and cost only when it beats both the committed best and
+// the goroutine's earlier draws of the Step: every draw that commits as an
+// improvement does.
 type RandomSearcher struct {
 	sp  *mapspace.Space
 	eng *engine.Engine
 	opt Options
 
-	rng   *checkpoint.RNG
-	rnd   *rand.Rand
-	smp   *mapspace.Sampler
-	batch []*mapping.Mapping
 	eval  *engine.Batch
+	claim func(ctx context.Context, t int, w *engine.Worker, lo, hi int) bool
+	draws []randomDrawer // one per goroutine
+	// bar is the committed incumbent's objective value as float64 bits
+	// (+Inf while there is none): no draw that fails to beat it can
+	// become the incumbent.
+	bar atomic.Uint64
+
+	// The window of the current Step, committed under mu.
+	mu    sync.Mutex
+	base  int64        // draw index of slot 0
+	vals  []float64    // each slot's objective value, NaN when invalid
+	pend  [][2]int     // evaluated slot ranges [lo, hi), not yet committed
+	next  int          // slots committed
+	cands []randomCand // clones of draws that may commit as improvements
+	gains []TracePoint // improvements committed this Step
 
 	res       *Result
 	noImprove int64
@@ -194,38 +199,50 @@ type RandomSearcher struct {
 	start     time.Time
 }
 
-// NewRandom builds a resumable random search. opt.Threads is ignored —
-// parallelism comes from the engine's batch workers (Config.Workers) — but
-// the option defaults (termination criterion) apply as in Random.
+// randomDrawer is one goroutine's drawing state.
+type randomDrawer struct {
+	smp  *mapspace.Sampler
+	m    *mapping.Mapping
+	rng  checkpoint.RNG
+	rnd  *rand.Rand
+	best float64 // lowest objective value of this Step's draws
+}
+
+// randomCand is the clone of the draw in window slot i.
+type randomCand struct {
+	i int
+	m *mapping.Mapping
+	c nest.Cost
+}
+
+// NewRandom builds a resumable random search on opt.Threads goroutines
+// (zero selects min(24, NumCPU)). The option defaults (termination
+// criterion) apply as in Random.
 func NewRandom(sp *mapspace.Space, eng *engine.Engine, opt Options) *RandomSearcher {
 	opt = opt.withDefaults()
 	s := &RandomSearcher{
 		sp: sp, eng: eng, opt: opt,
-		rng: checkpoint.NewRNG(opt.Seed),
-		smp: sp.NewSampler(), eval: eng.NewBatch(true),
-		res: &Result{}, start: time.Now(),
+		eval:  eng.NewBatch(true, opt.Threads),
+		draws: make([]randomDrawer, opt.Threads),
+		res:   &Result{}, start: time.Now(),
 	}
-	s.rnd = rand.New(s.rng)
-	s.batch = make([]*mapping.Mapping, randomBatch)
-	for i := range s.batch {
-		s.batch[i] = &mapping.Mapping{}
-	}
+	s.claim = s.drawClaim
 	return s
 }
 
 // Result returns the result so far.
 func (s *RandomSearcher) Result() *Result { return s.res }
 
-// Step samples and evaluates one batch. On cancellation the whole batch is
-// rolled back (the RNG rewinds to the batch start), so committed counters
-// always describe an exact prefix of the draw sequence.
+// Step draws, evaluates and commits one window. A Step cut off by
+// cancellation commits nothing, so committed counters always describe an
+// exact prefix of the draws.
 func (s *RandomSearcher) Step(ctx context.Context) (bool, error) {
 	if s.done {
 		return true, nil
 	}
-	// The warm start is evaluated before the cancellation check, as in the
-	// one-shot Random: a search under an already-cancelled context still
-	// returns it. It draws nothing from the RNG.
+	// The warm start is evaluated before the cancellation check: a search
+	// under an already-cancelled context still returns it. It draws
+	// nothing.
 	if !s.warmed {
 		s.warmed = true
 		if s.opt.WarmStart != nil {
@@ -243,61 +260,135 @@ func (s *RandomSearcher) Step(ctx context.Context) (bool, error) {
 	}
 	met := s.eng.Metrics()
 
-	n := len(s.batch)
+	n := int64(randomWindow * len(s.draws))
 	if s.opt.MaxEvaluations > 0 {
 		left := s.opt.MaxEvaluations - s.res.Evaluated
 		if left <= 0 {
 			return s.finish(met), nil
 		}
-		if int64(n) > left {
-			n = int(left)
-		}
+		n = min(n, left)
 	}
+	s.open(int(n))
+	pre, preNoImprove := *s.res, s.noImprove
+	s.eval.Run(ctx, int(n), s.claim)
+	clear(s.cands)
+	s.cands = s.cands[:0]
+	if !s.done && s.next < int(n) {
+		*s.res, s.noImprove = pre, preNoImprove
+		return false, ctxErr(ctx)
+	}
+	for _, g := range s.gains {
+		met.Improvement(g.Evals, g.Value)
+	}
+	if s.opt.KeepTrace {
+		s.res.Trace = append(s.res.Trace, s.gains...)
+	}
+	if s.done {
+		return s.finish(met), nil
+	}
+	return false, nil
+}
 
-	// Draw the batch; remember the RNG state to roll back to on
-	// cancellation (the serialized draw position must never run ahead of
-	// the committed counters).
-	preBatch := *s.rng
-	for i := 0; i < n; i++ {
-		s.smp.SampleInto(s.rnd, s.batch[i])
+// open starts a window of n draws at the next draw index.
+func (s *RandomSearcher) open(n int) {
+	s.base, s.next = s.res.Evaluated, 0
+	if cap(s.vals) < n {
+		s.vals = make([]float64, n)
 	}
-	costs := s.eval.Evaluate(ctx, s.batch[:n])
-	for i := range costs {
-		if engine.Cancelled(&costs[i]) {
-			*s.rng = preBatch
-			return false, ctxErr(ctx)
-		}
+	s.vals = s.vals[:n]
+	s.pend, s.gains = s.pend[:0], s.gains[:0]
+	bar := math.Inf(1)
+	if s.res.Best != nil {
+		bar = s.opt.Objective.Value(&s.res.BestCost)
 	}
+	s.bar.Store(math.Float64bits(bar))
+	for t := range s.draws {
+		s.draws[t].best = math.Inf(1)
+	}
+}
 
-	// Commit serially in draw order.
-	for i := 0; i < n && !s.done; i++ {
-		c := costs[i]
-		s.res.Evaluated++
+// drawClaim is the searcher's function for the batch's claim loop:
+// goroutine t draws and evaluates the window slots [lo, hi) on w, then
+// commits what it can. It stops the claim loop on cancellation and once the
+// search is done.
+func (s *RandomSearcher) drawClaim(ctx context.Context, t int, w *engine.Worker, lo, hi int) bool {
+	if ctxErr(ctx) != nil {
+		return false
+	}
+	d := &s.draws[t]
+	if d.smp == nil {
+		d.smp, d.m = s.sp.NewSampler(), &mapping.Mapping{}
+		d.rnd = rand.New(&d.rng)
+	}
+	// Locals keep the draw loop off the cache lines that commits write.
+	seed, base, vals, obj := s.opt.Seed, s.base, s.vals, s.opt.Objective
+	for i := lo; i < hi; i++ {
+		d.rng.SeedDraw(seed, base+int64(i))
+		d.smp.SampleInto(d.rnd, d.m)
+		c := w.EvaluateShared(d.m)
+		v := math.NaN()
 		if c.Valid {
+			v = obj.Value(&c)
+			if v < d.best && v < math.Float64frombits(s.bar.Load()) {
+				d.best = v
+				cand := randomCand{i: i, m: d.m.Clone(), c: c.Clone()}
+				s.mu.Lock()
+				s.cands = append(s.cands, cand)
+				s.mu.Unlock()
+			}
+		}
+		vals[i] = v
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pend = append(s.pend, [2]int{lo, hi})
+	// Commit the evaluated ranges that continue the committed prefix.
+	for !s.done {
+		i := slices.IndexFunc(s.pend, func(r [2]int) bool { return r[0] == s.next })
+		if i < 0 {
+			break
+		}
+		hi := s.pend[i][1]
+		s.pend = slices.Delete(s.pend, i, i+1)
+		s.commit(hi)
+	}
+	return !s.done
+}
+
+// commit walks the evaluated slots from the first uncommitted one up to
+// slot hi, in draw order, unless the search stops first.
+//
+//ruby:locked mu
+func (s *RandomSearcher) commit(hi int) {
+	for ; !s.done && s.next < hi; s.next++ {
+		v := s.vals[s.next]
+		s.res.Evaluated++
+		if v == v { // NaN marks an invalid draw
 			s.res.Valid++
-			if s.res.Best == nil || s.opt.Objective.Value(&c) < s.opt.Objective.Value(&s.res.BestCost) {
-				s.res.Best = s.batch[i].Clone()
-				s.res.BestCost = c.Clone()
-				s.noImprove = 0
-				if s.opt.KeepTrace {
-					s.res.Trace = append(s.res.Trace, TracePoint{Evals: s.res.Evaluated, Value: s.opt.Objective.Value(&c)})
-				}
-				met.Improvement(s.res.Evaluated, s.opt.Objective.Value(&c))
+			if v < math.Float64frombits(s.bar.Load()) {
+				s.improve(s.next, v)
 			} else if s.opt.ConsecutiveNoImprove > 0 {
 				s.noImprove++
-				if s.noImprove >= s.opt.ConsecutiveNoImprove {
-					s.done = true
-				}
+				s.done = s.noImprove >= s.opt.ConsecutiveNoImprove
 			}
 		}
 		if s.opt.MaxEvaluations > 0 && s.res.Evaluated >= s.opt.MaxEvaluations {
 			s.done = true
 		}
 	}
-	if s.done {
-		return s.finish(met), nil
-	}
-	return false, nil
+}
+
+// improve makes the draw in slot i, of objective value v, the incumbent,
+// taking its clone from the candidates and dropping those up to slot i.
+//
+//ruby:locked mu
+func (s *RandomSearcher) improve(i int, v float64) {
+	j := slices.IndexFunc(s.cands, func(c randomCand) bool { return c.i == i })
+	s.res.Best, s.res.BestCost = s.cands[j].m, s.cands[j].c
+	s.bar.Store(math.Float64bits(v))
+	s.noImprove = 0
+	s.gains = append(s.gains, TracePoint{Evals: s.res.Evaluated, Value: v})
+	s.cands = slices.DeleteFunc(s.cands, func(c randomCand) bool { return c.i <= i })
 }
 
 func (s *RandomSearcher) finish(met engine.Metrics) bool {
@@ -306,9 +397,10 @@ func (s *RandomSearcher) finish(met engine.Metrics) bool {
 	return true
 }
 
-// Snapshot implements Searcher.
+// Snapshot implements Searcher. It holds no RNG: the next draw's index is
+// the Evaluated count.
 func (s *RandomSearcher) Snapshot() (*checkpoint.SearchState, error) {
-	st, err := snapshotOf("random", s.done, s.rng, s.res)
+	st, err := snapshotOf("random", s.done, nil, s.res)
 	if err != nil {
 		return nil, err
 	}
@@ -316,9 +408,14 @@ func (s *RandomSearcher) Snapshot() (*checkpoint.SearchState, error) {
 	return st, nil
 }
 
-// Restore implements Searcher.
+// Restore implements Searcher. It rejects a random snapshot that carries
+// an RNG state: such a snapshot was written when random search drew every
+// mapping from one serial RNG, so its draws cannot be continued.
 func (s *RandomSearcher) Restore(st *checkpoint.SearchState) error {
-	if err := restoreInto(st, "random", s.rng, s.sp, s.res); err != nil {
+	if st.Algo == "random" && st.RNG != nil {
+		return errors.New("search: random snapshot carries an RNG state, so it was written under the old serial draw scheme and cannot be resumed; restart the search")
+	}
+	if err := restoreInto(st, "random", nil, s.sp, s.res); err != nil {
 		return err
 	}
 	s.noImprove, s.warmed, s.done = st.NoImprove, st.Warmed, st.Done
@@ -455,7 +552,7 @@ func (s *HillClimbSearcher) Step(ctx context.Context) (bool, error) {
 			s.warmupLeft--
 			s.res.Evaluated++
 			s.smp.SampleInto(s.rnd, s.m)
-			c := s.wk.Evaluate(s.m)
+			c := s.wk.EvaluateShared(s.m)
 			if c.Valid {
 				s.res.Valid++
 				if v := s.opt.Objective.Value(&c); s.res.Best == nil || v < s.opt.Objective.Value(&s.res.BestCost) {
@@ -599,16 +696,18 @@ type ExhaustiveSearcher struct {
 }
 
 // NewExhaustive builds a resumable exhaustive search over up to maxMappings
-// enumerated mappings (0 = the whole tiling mapspace). A non-empty opt.Shard
+// enumerated mappings (0 = the whole tiling mapspace), evaluating each batch
+// on opt.Threads goroutines (zero selects min(24, NumCPU)). A non-empty opt.Shard
 // confines the scan to that leading-dimension chain range; an out-of-range
 // shard is reported by the first Step call.
 func NewExhaustive(sp *mapspace.Space, eng *engine.Engine, opt Options, maxMappings int64) *ExhaustiveSearcher {
+	opt = opt.withDefaults()
 	s := &ExhaustiveSearcher{
 		sp: sp, eng: eng, opt: opt, maxMappings: maxMappings,
 		en: sp.NewEnumerator(),
 		// An enumeration never visits a mapping twice, so a memo-cache
 		// lookup could never hit: the scan bypasses the cache.
-		eval: eng.NewBatch(false),
+		eval: eng.NewBatch(false, opt.Threads),
 		res:  &Result{}, start: time.Now(),
 	}
 	if !opt.Shard.Empty() {

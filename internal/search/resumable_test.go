@@ -15,32 +15,33 @@ import (
 	"ruby/internal/workloads"
 )
 
-func toyEngine(kind mapspace.Kind, workers int) (*mapspace.Space, *engine.Engine) {
+func toyEngine(kind mapspace.Kind) (*mapspace.Space, *engine.Engine) {
 	sp, ev := toy(kind)
-	return sp, engine.Config{Workers: workers}.New(ev)
+	return sp, engine.New(ev)
 }
 
-type newSearcherFn func(sp *mapspace.Space, eng *engine.Engine) Searcher
+// newSearcherFn builds a searcher that evaluates on threads goroutines.
+type newSearcherFn func(sp *mapspace.Space, eng *engine.Engine, threads int) Searcher
 
 func searcherVariants() map[string]newSearcherFn {
 	return map[string]newSearcherFn{
-		"random": func(sp *mapspace.Space, eng *engine.Engine) Searcher {
-			return NewRandom(sp, eng, Options{Seed: 11, MaxEvaluations: 3000, KeepTrace: true})
+		"random": func(sp *mapspace.Space, eng *engine.Engine, threads int) Searcher {
+			return NewRandom(sp, eng, Options{Seed: 11, Threads: threads, MaxEvaluations: 3000, KeepTrace: true})
 		},
-		"hillclimb": func(sp *mapspace.Space, eng *engine.Engine) Searcher {
-			return NewHillClimb(sp, eng, Options{Seed: 11, MaxEvaluations: 2000, Warmup: 200, Patience: 150})
+		"hillclimb": func(sp *mapspace.Space, eng *engine.Engine, threads int) Searcher {
+			return NewHillClimb(sp, eng, Options{Seed: 11, Threads: threads, MaxEvaluations: 2000, Warmup: 200, Patience: 150})
 		},
-		"exhaustive": func(sp *mapspace.Space, eng *engine.Engine) Searcher {
-			return NewExhaustive(sp, eng, Options{}, 0)
+		"exhaustive": func(sp *mapspace.Space, eng *engine.Engine, threads int) Searcher {
+			return NewExhaustive(sp, eng, Options{Threads: threads}, 0)
 		},
-		"guided": func(sp *mapspace.Space, eng *engine.Engine) Searcher {
-			return NewGuided(sp, eng, Options{Seed: 11, MaxEvaluations: 2000})
+		"guided": func(sp *mapspace.Space, eng *engine.Engine, threads int) Searcher {
+			return NewGuided(sp, eng, Options{Seed: 11, Threads: threads, MaxEvaluations: 2000})
 		},
-		"anneal": func(sp *mapspace.Space, eng *engine.Engine) Searcher {
-			return NewAnneal(sp, eng, Options{Seed: 11, MaxEvaluations: 640, Warmup: 100})
+		"anneal": func(sp *mapspace.Space, eng *engine.Engine, threads int) Searcher {
+			return NewAnneal(sp, eng, Options{Seed: 11, Threads: threads, MaxEvaluations: 640, Warmup: 100})
 		},
-		"genetic": func(sp *mapspace.Space, eng *engine.Engine) Searcher {
-			return NewGenetic(sp, eng, Options{Seed: 11, MaxEvaluations: 640})
+		"genetic": func(sp *mapspace.Space, eng *engine.Engine, threads int) Searcher {
+			return NewGenetic(sp, eng, Options{Seed: 11, Threads: threads, MaxEvaluations: 640})
 		},
 	}
 }
@@ -92,20 +93,21 @@ func sameResult(t *testing.T, name string, got, want *Result) {
 	}
 }
 
-// The ISSUE's acceptance bar: a search interrupted at an arbitrary point and
-// resumed from its snapshot yields a bit-identical final incumbent, cost and
-// evaluation count to an uninterrupted run. Run with -race.
+// A search interrupted at an arbitrary point and resumed from its snapshot
+// yields a bit-identical final incumbent, cost, evaluation count and trace
+// to an uninterrupted run, here interrupted and resumed at two threads
+// against an uninterrupted run at one. Run with -race.
 func TestKillAndResumeBitIdentical(t *testing.T) {
 	for name, mk := range searcherVariants() {
 		t.Run(name, func(t *testing.T) {
-			sp, eng := toyEngine(mapspace.RubyS, 4)
-			want := runToCompletion(t, mk(sp, eng))
+			sp, eng := toyEngine(mapspace.RubyS)
+			want := runToCompletion(t, mk(sp, eng, 1))
 
 			// Interrupt after every possible step count: snapshot, rebuild a
 			// fresh searcher (fresh process simulation), restore, finish.
 			for stop := 1; ; stop++ {
-				sp2, eng2 := toyEngine(mapspace.RubyS, 4)
-				s := mk(sp2, eng2)
+				sp2, eng2 := toyEngine(mapspace.RubyS)
+				s := mk(sp2, eng2, 2)
 				done := false
 				for i := 0; i < stop && !done; i++ {
 					var err error
@@ -119,8 +121,8 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 					t.Fatalf("stop=%d Snapshot: %v", stop, err)
 				}
 
-				sp3, eng3 := toyEngine(mapspace.RubyS, 2) // different worker count on purpose
-				r := mk(sp3, eng3)
+				sp3, eng3 := toyEngine(mapspace.RubyS)
+				r := mk(sp3, eng3, 2)
 				if err := r.Restore(st); err != nil {
 					t.Fatalf("stop=%d Restore: %v", stop, err)
 				}
@@ -139,11 +141,11 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 func TestCancelMidStepThenResume(t *testing.T) {
 	for name, mk := range searcherVariants() {
 		t.Run(name, func(t *testing.T) {
-			sp, eng := toyEngine(mapspace.RubyS, 4)
-			want := runToCompletion(t, mk(sp, eng))
+			sp, eng := toyEngine(mapspace.RubyS)
+			want := runToCompletion(t, mk(sp, eng, 2))
 
-			sp2, eng2 := toyEngine(mapspace.RubyS, 4)
-			s := mk(sp2, eng2)
+			sp2, eng2 := toyEngine(mapspace.RubyS)
+			s := mk(sp2, eng2, 1)
 			if _, err := s.Step(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -157,8 +159,8 @@ func TestCancelMidStepThenResume(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sp3, eng3 := toyEngine(mapspace.RubyS, 4)
-			r := mk(sp3, eng3)
+			sp3, eng3 := toyEngine(mapspace.RubyS)
+			r := mk(sp3, eng3, 2)
 			if err := r.Restore(st); err != nil {
 				t.Fatal(err)
 			}
@@ -194,19 +196,20 @@ func suiteLayer(cfg engine.Config) (*mapspace.Space, *engine.Engine) {
 	return mapspace.New(layer.Work, simba, mapspace.RubyS, cons), cfg.New(nest.MustEvaluator(layer.Work, simba))
 }
 
-// A batch searcher cancelled part way through a batch rolls the whole batch
-// back, RNG included: resuming from its snapshot finishes exactly as an
-// uninterrupted run.
+// A batch searcher cancelled part way through a batch commits none of it:
+// resuming from its snapshot finishes exactly as an uninterrupted run.
 func TestCancelMidBatchThenResume(t *testing.T) {
 	for _, name := range []string{"random", "genetic"} {
 		t.Run(name, func(t *testing.T) {
 			mk := searcherVariants()[name]
-			want := runToCompletion(t, mk(suiteLayer(engine.Config{Workers: 1})))
+			sp, eng := suiteLayer(engine.Config{})
+			want := runToCompletion(t, mk(sp, eng, 1))
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			hook := &cancelAfter{Metrics: engine.NopMetrics, cancel: cancel}
-			s := mk(suiteLayer(engine.Config{Workers: 1, Metrics: hook}))
+			sp, eng = suiteLayer(engine.Config{Metrics: hook})
+			s := mk(sp, eng, 1)
 			if _, err := s.Step(ctx); err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +226,8 @@ func TestCancelMidBatchThenResume(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			r := mk(suiteLayer(engine.Config{Workers: 2}))
+			sp, eng = suiteLayer(engine.Config{})
+			r := mk(sp, eng, 2)
 			if err := r.Restore(st); err != nil {
 				t.Fatal(err)
 			}
@@ -241,9 +245,11 @@ func TestKillAndResumeOnSuiteLayer(t *testing.T) {
 	for _, name := range []string{"anneal", "genetic"} {
 		mk := searcherVariants()[name]
 		t.Run(name, func(t *testing.T) {
-			want := runToCompletion(t, mk(suiteLayer(engine.Config{Workers: 2})))
+			sp, eng := suiteLayer(engine.Config{})
+			want := runToCompletion(t, mk(sp, eng, 2))
 			for _, stop := range []int{1, 3, 7} {
-				s := mk(suiteLayer(engine.Config{Workers: 2}))
+				sp, eng := suiteLayer(engine.Config{})
+				s := mk(sp, eng, 2)
 				for i := 0; i < stop; i++ {
 					if _, err := s.Step(context.Background()); err != nil {
 						t.Fatal(err)
@@ -261,7 +267,8 @@ func TestKillAndResumeOnSuiteLayer(t *testing.T) {
 				if err := json.Unmarshal(raw, &back); err != nil {
 					t.Fatal(err)
 				}
-				r := mk(suiteLayer(engine.Config{Workers: 1}))
+				sp, eng = suiteLayer(engine.Config{})
+				r := mk(sp, eng, 1)
 				if err := r.Restore(&back); err != nil {
 					t.Fatalf("stop=%d Restore: %v", stop, err)
 				}
@@ -276,7 +283,7 @@ func TestKillAndResumeOnSuiteLayer(t *testing.T) {
 func TestRunCheckpointedResumeFromFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "search.json")
 
-	sp, eng := toyEngine(mapspace.RubyS, 4)
+	sp, eng := toyEngine(mapspace.RubyS)
 	want, err := RunCheckpointed(context.Background(), NewRandom(sp, eng, Options{Seed: 3, MaxEvaluations: 2000}), CheckpointConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +291,7 @@ func TestRunCheckpointedResumeFromFile(t *testing.T) {
 
 	// "Process one": run a few steps, then get killed (simulated by writing a
 	// snapshot and dropping the searcher).
-	sp1, eng1 := toyEngine(mapspace.RubyS, 4)
+	sp1, eng1 := toyEngine(mapspace.RubyS)
 	s1 := NewRandom(sp1, eng1, Options{Seed: 3, MaxEvaluations: 2000})
 	for i := 0; i < 3; i++ {
 		if _, err := s1.Step(context.Background()); err != nil {
@@ -300,7 +307,7 @@ func TestRunCheckpointedResumeFromFile(t *testing.T) {
 	}
 
 	// "Process two": restore from the file and finish under RunCheckpointed.
-	sp2, eng2 := toyEngine(mapspace.RubyS, 4)
+	sp2, eng2 := toyEngine(mapspace.RubyS)
 	s2 := NewRandom(sp2, eng2, Options{Seed: 3, MaxEvaluations: 2000})
 	resumed, err := RestoreFromFile(context.Background(), s2, path)
 	if err != nil {
@@ -316,7 +323,7 @@ func TestRunCheckpointedResumeFromFile(t *testing.T) {
 	sameResult(t, "random", got, want)
 
 	// The final snapshot is marked done: restoring it is a finished search.
-	sp3, eng3 := toyEngine(mapspace.RubyS, 4)
+	sp3, eng3 := toyEngine(mapspace.RubyS)
 	s3 := NewRandom(sp3, eng3, Options{Seed: 3, MaxEvaluations: 2000})
 	if resumed, err = RestoreFromFile(context.Background(), s3, path); err != nil || !resumed {
 		t.Fatalf("final snapshot restore: resumed=%v err=%v", resumed, err)
@@ -329,7 +336,7 @@ func TestRunCheckpointedResumeFromFile(t *testing.T) {
 }
 
 func TestRestoreFromFileMissingIsFreshStart(t *testing.T) {
-	sp, eng := toyEngine(mapspace.RubyS, 1)
+	sp, eng := toyEngine(mapspace.RubyS)
 	s := NewRandom(sp, eng, Options{Seed: 1})
 	resumed, err := RestoreFromFile(context.Background(), s, filepath.Join(t.TempDir(), "absent.json"))
 	if err != nil || resumed {
@@ -338,7 +345,7 @@ func TestRestoreFromFileMissingIsFreshStart(t *testing.T) {
 }
 
 func TestRestoreRejectsWrongAlgo(t *testing.T) {
-	sp, eng := toyEngine(mapspace.RubyS, 1)
+	sp, eng := toyEngine(mapspace.RubyS)
 	st, err := NewRandom(sp, eng, Options{Seed: 1}).Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +364,7 @@ func TestResumableExhaustiveMatchesOneShot(t *testing.T) {
 	sp, ev := toy(mapspace.RubyS)
 	want := Exhaustive(context.Background(), sp, engine.New(ev), Options{}, 0)
 
-	sp2, eng2 := toyEngine(mapspace.RubyS, 4)
+	sp2, eng2 := toyEngine(mapspace.RubyS)
 	got := runToCompletion(t, NewExhaustive(sp2, eng2, Options{}, 0))
 	if got.Evaluated != want.Evaluated || got.Valid != want.Valid {
 		t.Errorf("counters (%d, %d), want (%d, %d)", got.Evaluated, got.Valid, want.Evaluated, want.Valid)
@@ -370,7 +377,7 @@ func TestResumableExhaustiveMatchesOneShot(t *testing.T) {
 // The resumable random search must still find the toy optimum (sanity that
 // the batch rearchitecture didn't break convergence).
 func TestResumableRandomConverges(t *testing.T) {
-	sp, eng := toyEngine(mapspace.RubyS, 4)
+	sp, eng := toyEngine(mapspace.RubyS)
 	res := runToCompletion(t, NewRandom(sp, eng, Options{Seed: 1, MaxEvaluations: 4000}))
 	if res.Best == nil {
 		t.Fatal("no valid mapping found")
@@ -387,7 +394,7 @@ func TestResumableRandomConverges(t *testing.T) {
 func BenchmarkCheckpointOverhead(b *testing.B) {
 	run := func(b *testing.B, cc CheckpointConfig) {
 		for i := 0; i < b.N; i++ {
-			sp, eng := toyEngine(mapspace.RubyS, 4)
+			sp, eng := toyEngine(mapspace.RubyS)
 			s := NewRandom(sp, eng, Options{Seed: 5, MaxEvaluations: 200000, ConsecutiveNoImprove: -1})
 			if _, err := RunCheckpointed(context.Background(), s, cc); err != nil {
 				b.Fatal(err)
@@ -406,7 +413,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 // Restoring a snapshot with a corrupt incumbent fails loudly instead of
 // silently restarting.
 func TestRestoreRejectsCorruptIncumbent(t *testing.T) {
-	sp, eng := toyEngine(mapspace.RubyS, 1)
+	sp, eng := toyEngine(mapspace.RubyS)
 	s := NewRandom(sp, eng, Options{Seed: 9, MaxEvaluations: 300})
 	runToCompletion(t, s)
 	st, err := s.Snapshot()
@@ -417,7 +424,7 @@ func TestRestoreRejectsCorruptIncumbent(t *testing.T) {
 		t.Skip("no incumbent found")
 	}
 	st.Best = []byte(`{"factors":{}}`)
-	s2sp, s2eng := toyEngine(mapspace.RubyS, 1)
+	s2sp, s2eng := toyEngine(mapspace.RubyS)
 	if err := NewRandom(s2sp, s2eng, Options{Seed: 9}).Restore(st); err == nil {
 		t.Error("corrupt incumbent accepted")
 	}

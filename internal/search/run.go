@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strings"
@@ -22,25 +23,16 @@ var ResumableAlgorithms = []string{"random", "guided", "hillclimb", "anneal", "g
 // Run dispatches a one-shot search by algorithm name. The empty name selects
 // random sampling (the paper's baseline procedure). Unknown names are an
 // error, so callers can pass flag and request strings straight through.
+// Exhaustive search enumerates at most opt.MaxEvaluations mappings.
 func Run(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, algo string, opt Options) (*Result, error) {
-	switch algo {
-	case "", "random":
-		return Random(ctx, sp, eng, opt), nil
-	case "guided":
-		return Guided(ctx, sp, eng, opt), nil
-	case "hillclimb":
-		return HillClimb(ctx, sp, eng, opt), nil
-	case "anneal":
-		return Anneal(ctx, sp, eng, opt), nil
-	case "genetic":
-		return Genetic(ctx, sp, eng, opt), nil
-	case "exhaustive":
-		return Exhaustive(ctx, sp, eng, opt, opt.MaxEvaluations), nil
-	case "portfolio":
+	if algo == "portfolio" {
 		return Portfolio(ctx, sp, eng, opt), nil
-	default:
+	}
+	s, err := NewSearcherFor(algo, sp, eng, opt, opt.MaxEvaluations)
+	if err != nil {
 		return nil, fmt.Errorf("search: unknown algorithm %q", algo)
 	}
+	return stepToDone(ctx, "search:"+cmp.Or(algo, "random"), s), nil
 }
 
 // NewSearcherFor builds a resumable searcher by algorithm name (the empty

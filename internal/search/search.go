@@ -4,8 +4,9 @@
 // exhaustive searcher for the toy studies and orthogonal search strategies
 // (the paper notes Ruby composes with improved search techniques): greedy
 // hill climbing, simulated annealing, a genetic algorithm, the model-guided
-// mapper and a portfolio of them. Every searcher but the portfolio is also a
-// resumable Searcher (ResumableAlgorithms).
+// mapper and a portfolio of them. Every searcher but the portfolio is a
+// resumable Searcher (ResumableAlgorithms), and its one-shot entry point
+// (Random, Exhaustive, ...) steps it to completion.
 //
 // Every searcher has one context-first entry point taking the evaluation
 // pipeline (engine.Engine — cancellation, memoization, metrics): pass
@@ -13,21 +14,21 @@
 // context when cancellation is not needed. Cancelling the context stops a
 // search promptly and returns the best result found so far. Searches record
 // trace spans when the context carries an obs.Recorder.
+//
+// Options.Threads sets how many goroutines a search evaluates on, and
+// nothing else: for a given seed every searcher returns the same mapping,
+// cost, counters and trace at any thread count.
 package search
 
 import (
 	"context"
-	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
+	"ruby/internal/checkpoint"
 	"ruby/internal/engine"
 	"ruby/internal/mapping"
 	"ruby/internal/mapspace"
 	"ruby/internal/nest"
-	"ruby/internal/obs"
 )
 
 // Options configures a search. The zero value is a usable default for every
@@ -38,10 +39,13 @@ type Options struct {
 	// Algorithms, with "" meaning random sampling. The direct entry points
 	// (Random, Guided, ...) ignore it.
 	Algo string
-	// Seed makes the search reproducible. Worker i uses Seed + i.
+	// Seed makes the search reproducible: random draw k samples with an
+	// RNG seeded from (Seed, k), and the other stochastic searchers draw
+	// from one RNG seeded by Seed.
 	Seed int64
-	// Threads is the number of parallel samplers (default min(24, NumCPU),
-	// 24 matching the paper's setup).
+	// Threads is the number of goroutines a random, exhaustive or genetic
+	// search evaluates on (default min(24, NumCPU), 24 matching the paper's
+	// setup). It sets speed only: the result is the same at any value.
 	Threads int
 	// MaxEvaluations caps the total number of sampled mappings (0 = no cap).
 	MaxEvaluations int64
@@ -60,7 +64,9 @@ type Options struct {
 	// begins and counts as the incumbent if valid.
 	WarmStart *mapping.Mapping
 	// Warmup is the number of random samples seeding the HillClimb and
-	// Anneal walks (0 = default 1000; other searchers ignore it).
+	// Anneal walks (other searchers ignore it). 0 selects 1000, or a tenth
+	// of MaxEvaluations (at least 1) when that is smaller, so a small
+	// budget still leaves most of it to the walk.
 	Warmup int
 	// Patience is the number of consecutive failed HillClimb proposals
 	// before the climb stops (0 = default 2000; other searchers ignore it).
@@ -83,16 +89,16 @@ const (
 
 func (o Options) withDefaults() Options {
 	if o.Threads <= 0 {
-		o.Threads = runtime.NumCPU()
-		if o.Threads > 24 {
-			o.Threads = 24
-		}
+		o.Threads = min(24, runtime.NumCPU())
 	}
 	if o.ConsecutiveNoImprove <= 0 && o.MaxEvaluations <= 0 {
 		o.ConsecutiveNoImprove = 3000
 	}
 	if o.Warmup <= 0 {
 		o.Warmup = defaultWarmup
+		if o.MaxEvaluations > 0 {
+			o.Warmup = int(max(1, min(defaultWarmup, o.MaxEvaluations/10)))
+		}
 	}
 	if o.Patience <= 0 {
 		o.Patience = defaultPatience
@@ -101,11 +107,8 @@ func (o Options) withDefaults() Options {
 }
 
 // TracePoint is one improvement event: after Evals evaluated mappings the
-// best objective value dropped to Value.
-type TracePoint struct {
-	Evals int64
-	Value float64
-}
+// best objective value dropped to Value. Snapshots hold the same type.
+type TracePoint = checkpoint.TracePoint
 
 // Result summarizes a search.
 type Result struct {
@@ -130,139 +133,30 @@ func (r *Result) BestEDPAt(n int64) (float64, bool) {
 	return best, ok
 }
 
-// shared is the cross-worker search state.
-type shared struct {
-	//ruby:guards best,bestCost,trace,valid
-	mu        sync.Mutex
-	best      *mapping.Mapping
-	bestCost  nest.Cost
-	trace     []TracePoint
-	valid     int64
-	evaluated atomic.Int64
-	noImprove atomic.Int64
-	stop      atomic.Bool
-}
-
-// addTrace records the improvement to v found at evaluation ticket n,
-// keeping the trace ordered by ticket. Workers finish out of ticket order,
-// so points of later tickets may already be recorded; v beats all of them
-// (it beats the current best), so in ticket order they were no improvement,
-// and they are dropped to keep evals ascending and values strictly
-// descending.
-//
-//ruby:locked mu
-func (st *shared) addTrace(n int64, v float64) {
-	i := len(st.trace)
-	for i > 0 && st.trace[i-1].Evals > n {
-		i--
-	}
-	st.trace = append(st.trace[:i], TracePoint{Evals: n, Value: v})
-}
-
-// Random runs parallel random-sampling search through the evaluation
+// Random runs the paper's random-sampling search through the evaluation
 // pipeline and returns the best mapping found. It mirrors Timeloop's
 // Random-Sampling search: mapspace generation proposes structurally valid
 // mappings, the cost model filters invalid ones, and the search stops after
 // opt.ConsecutiveNoImprove consecutive valid mappings without improvement
-// (and/or opt.MaxEvaluations samples). Cancelling ctx stops the search
-// promptly, returning the best mapping found so far.
+// (and/or opt.MaxEvaluations samples). Its opt.Threads goroutines evaluate
+// draws that are seeded by their index, so the result does not depend on
+// the thread count. Cancelling ctx stops the search promptly, returning the
+// best mapping found so far. It is NewRandom stepped to completion.
 func Random(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options) *Result {
-	opt = opt.withDefaults()
-	ctx, span := obs.StartSpan(ctx, "search:random")
-	defer span.End()
-	st := &shared{}
-	met := eng.Metrics()
-	start := time.Now()
-
-	if opt.WarmStart != nil {
-		if c := eng.Evaluate(opt.WarmStart); c.Valid {
-			st.best = opt.WarmStart.Clone()
-			st.bestCost = c
-			if opt.KeepTrace {
-				st.trace = append(st.trace, TracePoint{Evals: 0, Value: opt.Objective.Value(&c)})
-			}
-		}
-	}
-
-	if ctx != nil {
-		stopWatch := context.AfterFunc(ctx, func() { st.stop.Store(true) })
-		defer stopWatch()
-	}
-
-	var wg sync.WaitGroup
-	for t := 0; t < opt.Threads; t++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			// One span per worker lifetime, not per evaluation: the
-			// sample->evaluate loop below stays allocation-free.
-			_, wspan := obs.StartSpan(ctx, "search:worker")
-			defer wspan.End()
-			rng := rand.New(rand.NewSource(seed))
-			// Worker-owned evaluation state: one scratch, one sampler and one
-			// mapping reused across iterations, so the sample->evaluate loop
-			// is allocation-free at steady state. The shared best is a clone,
-			// never the reused mapping or a scratch-aliased cost.
-			wk := eng.NewWorker()
-			smp := sp.NewSampler()
-			m := &mapping.Mapping{}
-			for !st.stop.Load() {
-				// Take an evaluation ticket; give it back (exactly) when the
-				// budget is already spent, so Evaluated counts evaluations
-				// actually performed rather than clamping after the fact.
-				n := st.evaluated.Add(1)
-				if opt.MaxEvaluations > 0 && n > opt.MaxEvaluations {
-					st.evaluated.Add(-1)
-					st.stop.Store(true)
-					return
-				}
-				smp.SampleInto(rng, m)
-				c := wk.EvaluateShared(m)
-				if !c.Valid {
-					continue
-				}
-				st.mu.Lock()
-				st.valid++
-				if st.best == nil || opt.Objective.Value(&c) < opt.Objective.Value(&st.bestCost) {
-					st.best = m.Clone()
-					st.bestCost = c.Clone()
-					st.noImprove.Store(0)
-					if opt.KeepTrace {
-						st.addTrace(n, opt.Objective.Value(&c))
-					}
-					st.mu.Unlock()
-					met.Improvement(n, opt.Objective.Value(&c))
-					continue
-				}
-				st.mu.Unlock()
-				if opt.ConsecutiveNoImprove > 0 &&
-					st.noImprove.Add(1) >= opt.ConsecutiveNoImprove {
-					st.stop.Store(true)
-					return
-				}
-			}
-		}(opt.Seed + int64(t))
-	}
-	wg.Wait()
-
-	res := &Result{Best: st.best, BestCost: st.bestCost, Valid: st.valid, Trace: st.trace}
-	res.Evaluated = st.evaluated.Load()
-	reportDone(met, opt.Objective, res, start)
-	return res
+	return stepToDone(ctx, "search:random", NewRandom(sp, eng, opt))
 }
 
 // Exhaustive enumerates the tiling mapspace in deterministic order (with
 // canonical loop orders), up to maxMappings (0 = all; only feasible for toy
 // problems), evaluating batches in parallel through eng and minimizing
 // opt.Objective. A non-empty opt.Shard confines the scan to that
-// leading-dimension chain range. Results are identical to a serial scan:
-// batches preserve enumeration order and the incumbent only changes on
-// strict improvement. Cancelling ctx stops the scan, returning the best
-// mapping found so far. It is NewExhaustive stepped to completion.
+// leading-dimension chain range. Results are identical to a serial scan at
+// any opt.Threads: batches preserve enumeration order and the incumbent
+// only changes on strict improvement. Cancelling ctx stops the scan,
+// returning the best mapping found so far. It is NewExhaustive stepped to
+// completion.
 func Exhaustive(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options, maxMappings int64) *Result {
-	ctx, span := obs.StartSpan(ctx, "search:exhaustive")
-	defer span.End()
-	return stepToDone(ctx, NewExhaustive(sp, eng, opt, maxMappings))
+	return stepToDone(ctx, "search:exhaustive", NewExhaustive(sp, eng, opt, maxMappings))
 }
 
 // HillClimb seeds a greedy local search with the best of opt.Warmup random
@@ -275,9 +169,7 @@ func Exhaustive(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt
 // completion, so it draws from the serializable checkpoint RNG and a run
 // matches its resumable twin draw for draw.
 func HillClimb(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options) *Result {
-	ctx, span := obs.StartSpan(ctx, "search:hillclimb")
-	defer span.End()
-	return stepToDone(ctx, NewHillClimb(sp, eng, opt))
+	return stepToDone(ctx, "search:hillclimb", NewHillClimb(sp, eng, opt))
 }
 
 // Anneal is simulated annealing: HillClimb's warm-up and Move walk, with
@@ -287,9 +179,7 @@ func HillClimb(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt 
 // opt.Warmup, and the temperature cools over the opt.MaxEvaluations budget
 // left after it. It is NewAnneal stepped to completion.
 func Anneal(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options) *Result {
-	ctx, span := obs.StartSpan(ctx, "search:anneal")
-	defer span.End()
-	return stepToDone(ctx, NewAnneal(sp, eng, opt))
+	return stepToDone(ctx, "search:anneal", NewAnneal(sp, eng, opt))
 }
 
 // Genetic evolves a population of mappings by tournament selection,
@@ -297,9 +187,7 @@ func Anneal(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Opt
 // until opt.MaxEvaluations or opt.ConsecutiveNoImprove ends it. It is
 // NewGenetic stepped to completion.
 func Genetic(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Options) *Result {
-	ctx, span := obs.StartSpan(ctx, "search:genetic")
-	defer span.End()
-	return stepToDone(ctx, NewGenetic(sp, eng, opt))
+	return stepToDone(ctx, "search:genetic", NewGenetic(sp, eng, opt))
 }
 
 // requireSharedContext asserts that the mapspace and the engine's evaluator

@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"ruby/internal/arch"
@@ -222,19 +221,4 @@ func mappingFor17(t *testing.T) *mapping.Mapping {
 	m := mapping.Uniform(w, a, 1)
 	m.Factors["X"] = []int{1, 17, 6}
 	return m
-}
-
-// TestRandomTraceTicketOrder checks the one-shot searcher's trace stays
-// ordered by evaluation ticket when workers commit improvements out of
-// ticket order: a point is dropped once an earlier ticket commits a better
-// value, since in ticket order it was no improvement.
-func TestRandomTraceTicketOrder(t *testing.T) {
-	st := &shared{}
-	for _, p := range []TracePoint{{5, 10}, {9, 9}, {2, 8}, {7, 6}, {6, 5}, {8, 4}} {
-		st.addTrace(p.Evals, p.Value)
-	}
-	want := []TracePoint{{2, 8}, {6, 5}, {8, 4}}
-	if !reflect.DeepEqual(st.trace, want) {
-		t.Errorf("trace = %v, want %v", st.trace, want)
-	}
 }

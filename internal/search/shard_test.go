@@ -12,7 +12,7 @@ import (
 // between them, exactly the unrestricted enumeration — same total counters,
 // same best objective.
 func TestShardedExhaustiveUnionMatchesFull(t *testing.T) {
-	sp, eng := toyEngine(mapspace.RubyS, 4)
+	sp, eng := toyEngine(mapspace.RubyS)
 	full := runToCompletion(t, NewExhaustive(sp, eng, Options{}, 0))
 	if full.Best == nil {
 		t.Fatal("full exhaustive scan found no valid mapping")
@@ -47,7 +47,7 @@ func TestShardedExhaustiveUnionMatchesFull(t *testing.T) {
 // kill-and-resume bit-identical contract: snapshot mid-shard, restore into a
 // fresh searcher with the same Shard, identical final result.
 func TestExhaustiveShardKillAndResume(t *testing.T) {
-	sp, eng := toyEngine(mapspace.RubyS, 4)
+	sp, eng := toyEngine(mapspace.RubyS)
 	r := sp.ShardLeading(2)[1]
 	opt := Options{Shard: r}
 
@@ -72,7 +72,7 @@ func TestExhaustiveShardKillAndResume(t *testing.T) {
 // TestExhaustiveShardInvalid checks an out-of-range shard surfaces as a Step
 // error instead of a silent empty scan.
 func TestExhaustiveShardInvalid(t *testing.T) {
-	sp, eng := toyEngine(mapspace.RubyS, 1)
+	sp, eng := toyEngine(mapspace.RubyS)
 	total := int(sp.ChainCount(sp.LeadingDim()))
 	s := NewExhaustive(sp, eng, Options{Shard: mapspace.ChainRange{Lo: 0, Hi: total + 1}}, 0)
 	if _, err := s.Step(context.Background()); err == nil {

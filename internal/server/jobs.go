@@ -305,6 +305,7 @@ func (jm *jobManager) run(id string) {
 	}
 	opt := search.Options{
 		Seed:                 req.Seed,
+		Threads:              req.Threads,
 		MaxEvaluations:       req.MaxEvaluations,
 		ConsecutiveNoImprove: req.NoImprove,
 		Objective:            obj,

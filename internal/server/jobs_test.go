@@ -181,6 +181,67 @@ func TestInterruptedJobResumesDeterministically(t *testing.T) {
 	}
 }
 
+// A job's threads field sets only how many goroutines it searches on: the
+// same job at one and at three threads finishes with the same result.
+func TestJobThreadsSameResult(t *testing.T) {
+	srv, err := NewService(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"", "genetic"} {
+		var results [2]string
+		for i, threads := range []int{1, 3} {
+			body := `{
+			  "workload": ` + toyWorkloadJSON + `,
+			  "arch": ` + toyArchJSON + `,
+			  "mapspace": "ruby-s", "search": "` + algo + `",
+			  "seed": 7, "max_evaluations": 3000, "threads": ` + strconv.Itoa(threads) + `
+			}`
+			rec, out := do(t, srv, "POST", "/v1/jobs", body)
+			if rec.Code != http.StatusAccepted {
+				t.Fatalf("search=%q threads=%d: submit status %d: %v", algo, threads, rec.Code, out)
+			}
+			raw, err := json.Marshal(waitJob(t, srv, out["id"].(string), JobDone)["result"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[i] = string(raw)
+		}
+		if results[0] != results[1] {
+			t.Errorf("search=%q: result at one thread\n%s\nat three\n%s", algo, results[0], results[1])
+		}
+	}
+}
+
+// A 600-evaluation anneal job takes the warm-up default from its budget (a
+// tenth of it), so it leaves the warm-up and anneals: its final snapshot
+// has no warm-up left and holds a working mapping.
+func TestJobAnnealWarmupFromBudget(t *testing.T) {
+	srv, err := NewService(Options{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, out := do(t, srv, "POST", "/v1/jobs", searchJobBody("anneal", 600))
+	id := out["id"].(string)
+	waitJob(t, srv, id, JobDone)
+	rec, st := do(t, srv, "GET", "/v1/jobs/"+id+"/checkpoint", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("checkpoint: status %d: %v", rec.Code, st)
+	}
+	if st["algo"] != "anneal" || st["done"] != true || st["evaluated"] != 600.0 {
+		t.Errorf("final snapshot: algo %v, done %v, evaluated %v; want anneal, true, 600", st["algo"], st["done"], st["evaluated"])
+	}
+	if left, ok := st["warmup_left"]; ok && left != 0.0 {
+		t.Errorf("warmup_left = %v, want 0", left)
+	}
+	if st["cur"] == nil {
+		t.Error("final snapshot holds no working mapping: the annealer never left its warm-up")
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestShutdownRejectsNewJobs(t *testing.T) {
 	srv, err := NewService(Options{})
 	if err != nil {

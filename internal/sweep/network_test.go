@@ -243,36 +243,37 @@ func testSearchNetworkCheckpointResume(t *testing.T, par int) {
 // row-stationary, 1000 evaluations per layer and per segment) per
 // strategy/seed: the network EDP bits, then per kept segment its edge, its
 // Evaluated count, its fused EDP bits and the leading 8 bytes of the
-// SHA-256 of each winning mapping's Encode bytes. It was recorded from the
-// serial segment search that cloned every proposal, which the parallel,
-// in-place search must reproduce bit for bit.
+// SHA-256 of each winning mapping's Encode bytes. It was first recorded
+// from the serial segment search that cloned every proposal, which the
+// parallel, in-place search reproduced bit for bit, and re-recorded, with
+// the same seeds and budget, when random draw k came to be seeded from
+// (Seed, k).
 var searchNetworkGolden = map[string][]string{
 	"Ruby-S/1001": {
-		"edp=43ce742f1e4fa3c3",
-		"res3x_branch2b->res3x_branch2c edge=4 evaluated=751 edp=433a4d5d387b0000 prod=574ef70f86c3ea2b cons=0d2b24acb20edf09",
-		"res2x_branch2c->res3a_branch2a edge=2 evaluated=999 edp=431bb077ee666666 prod=b38c20f887eb1355 cons=c9a62b8e0ea9ecb3",
-		"res4a_branch2a->res4x_branch2b edge=6 evaluated=999 edp=432b666bc516d800 prod=afb035045eded7ec cons=31524c6ff14ed2b5",
-		"res4x_branch2c->res5a_branch2a edge=8 evaluated=999 edp=432396d875b8869a prod=dfe4258b114ac325 cons=c8506d6883fb75db",
-		"res2a_branch2a->res2x_branch2b edge=0 evaluated=626 edp=432d5956c3333334 prod=ce0db594de156430 cons=85eb958494e1781f",
+		"edp=43d30ce77708ada7",
+		"res2x_branch2b->res2x_branch2c edge=1 evaluated=751 edp=433f21d99314cccc prod=18a670d44316c529 cons=c37ad737d765855a",
+		"res3a_branch2a->res3x_branch2b edge=3 evaluated=751 edp=432f881b69486666 prod=b8aae2cfddbd0794 cons=2e934ee170e6030d",
+		"res4a_branch2a->res4x_branch2b edge=6 evaluated=999 edp=43340efabb505867 prod=157bfbdebdc50906 cons=7f01198a86fc8f0a",
 	},
 	"Ruby-S/2002": {
-		"edp=43d0d52d3f800b6a",
-		"res5x_branch2b->res5x_branch2c edge=10 evaluated=999 edp=433c92d29ccaa932 prod=e27a96a3981b6050 cons=1570976ea6853f51",
-		"res2a_branch2a->res2x_branch2b edge=0 evaluated=626 edp=4322595a1c1e0000 prod=7fde65096b240036 cons=f1024c91f7f696f6",
-		"res3a_branch2a->res3x_branch2b edge=3 evaluated=999 edp=4334674ed8ed3a66 prod=754663c5b380548c cons=68a154533c1333fd",
-		"res4x_branch2c->res5a_branch2a edge=8 evaluated=999 edp=4322cbf83328c9ff prod=4ea43a803828baef cons=1b98d045e3ea7d82",
+		"edp=43d12ebf4089f8cf",
+		"res4x_branch2b->res4x_branch2c edge=7 evaluated=875 edp=43401e488251799a prod=d54f94b26caef45e cons=d3a6a1218b3892f1",
+		"res2x_branch2c->res3a_branch2a edge=2 evaluated=999 edp=4311bf82f25f0000 prod=c31c5092e6649337 cons=e372fc685debbc81",
+		"res2a_branch2a->res2x_branch2b edge=0 evaluated=626 edp=4326b9f67ccccccc prod=51e8b39493c00946 cons=8de956d24c5c44f4",
 	},
 	"PFM/1001": {
-		"edp=43ddd1d651fec578",
-		"res4x_branch2b->res4x_branch2c edge=7 evaluated=999 edp=43429dd665c00000 prod=81045d5f3eea6b77 cons=629c1d580ccfcd43",
-		"res2x_branch2c->res3a_branch2a edge=2 evaluated=626 edp=432b891a8e666666 prod=9673d715852fbe43 cons=c6e855ceceda1602",
+		"edp=43d86250af568c88",
+		"res3x_branch2c->res4a_branch2a edge=5 evaluated=875 edp=43208d2596666667 prod=1fa574eb1a4084a1 cons=e0e152cefa471ebf",
+		"res5a_branch2a->res5x_branch2b edge=9 evaluated=751 edp=433a6feaa0000000 prod=7f47986f4d8b8ca6 cons=d2874da3c162898e",
+		"res2a_branch2a->res2x_branch2b edge=0 evaluated=626 edp=432a81701d999999 prod=b905bd47c32e8635 cons=3d20c3205cbcb58a",
 	},
 	"PFM/2002": {
-		"edp=43dac2f022aa1db1",
-		"res3x_branch2b->res3x_branch2c edge=4 evaluated=875 edp=43465b0489000001 prod=eecb2ec598466b79 cons=4c240ba25d62393e",
-		"res2a_branch2a->res2x_branch2b edge=0 evaluated=626 edp=432c58ed1acccccd prod=d9f8bff3165b272e cons=0f1a6fe60c24f8be",
-		"res4x_branch2c->res5a_branch2a edge=8 evaluated=999 edp=43195865dd000000 prod=dea8019733ba5239 cons=d2f78d97aa875c42",
-		"res2x_branch2c->res3a_branch2a edge=2 evaluated=751 edp=4324ecb289333333 prod=28a5b055faf2f9ed cons=2b0c260e54e20dc3",
+		"edp=43e2af2b50c1241a",
+		"res2x_branch2b->res2x_branch2c edge=1 evaluated=626 edp=433ad89438000001 prod=d69cfbd622016bb0 cons=38486b16f16b8a54",
+		"res5x_branch2b->res5x_branch2c edge=10 evaluated=999 edp=434fb69fe4a66667 prod=885a8b7a4a24dccf cons=a46ae28598c3834f",
+		"res3x_branch2c->res4a_branch2a edge=5 evaluated=999 edp=432f1eb218666665 prod=c720a1a0a39ad371 cons=5b23169b98ab8fbd",
+		"res3a_branch2a->res3x_branch2b edge=3 evaluated=875 edp=433bc13781ffffff prod=ea710bd9c2a1d41d cons=78007fa8ae366c02",
+		"res4x_branch2c->res5a_branch2a edge=8 evaluated=999 edp=432df3429c333333 prod=a084f49cccc34b4b cons=efcf94d6f99ef641",
 	},
 }
 

@@ -7,13 +7,11 @@
 // searches honor context cancellation, share a metrics hook, optionally
 // memoize duplicate samples, and run in parallel across layers; network
 // searches then run their fused segments in parallel across edges. Every
-// layer and segment search is seeded independently, so parallel and serial
-// runs produce identical output — given Search.Threads = 1: one-shot random
-// search with more threads shares one budget counter across its workers, so
-// which samples it evaluates depends on goroutine scheduling. When the
-// context carries an obs.Recorder, each suite, layer and segment search
-// records a trace span, so a suite run's span tree reads suite → layer →
-// search → eval-batch.
+// layer and segment search is seeded independently, and no search's result
+// depends on its Search.Threads, so parallel and serial runs produce
+// identical output. When the context carries an obs.Recorder, each suite,
+// layer and segment search records a trace span, so a suite run's span
+// tree reads suite → layer → search → eval-batch.
 package sweep
 
 import (
@@ -85,15 +83,9 @@ func (so SuiteOptions) withDefaults() SuiteOptions {
 	if so.Parallel <= 0 {
 		threads := so.Search.Threads
 		if threads <= 0 {
-			threads = runtime.NumCPU()
-			if threads > 24 {
-				threads = 24
-			}
+			threads = min(24, runtime.NumCPU())
 		}
-		so.Parallel = runtime.NumCPU() / threads
-		if so.Parallel < 1 {
-			so.Parallel = 1
-		}
+		so.Parallel = max(1, runtime.NumCPU()/threads)
 	}
 	return so
 }
