@@ -183,6 +183,17 @@ func (e *Engine) NewWorker() *Worker {
 	return &Worker{e: e, scratch: e.ev.Plan().NewScratch()}
 }
 
+// Scratch returns the worker's model scratch, where a capacity screen
+// (nest.Plan.ScreenStart) may keep its state between the worker's
+// evaluations: the next evaluation on the worker rewrites all of it.
+func (w *Worker) Scratch() *nest.Scratch { return w.scratch }
+
+// Screened reports a draw that a capacity screen rejected before the model
+// saw it: one invalid, uncached evaluation, without a latency sample. The
+// screen rejects only draws the model would judge invalid, so the counters
+// read as if the model had judged the draw.
+func (w *Worker) Screened() { w.e.metrics.Evaluation(false, false) }
+
 // EvaluateShared is Engine.Evaluate on the worker's scratch, without
 // detaching the result: the returned Cost's per-level slices alias either
 // the worker's scratch or a cache entry, and scratch-backed results are

@@ -138,7 +138,7 @@ func (in *Instruments) portfolioWinSamples() []obs.Sample {
 // service's whole /v1/metrics exposition.
 func (in *Instruments) Register(reg *obs.Registry) {
 	c := in.Counters
-	reg.Counter("ruby_evaluations_total", "Total mapping evaluations through the engine.",
+	reg.Counter("ruby_evaluations_total", "Total mapping evaluations through the engine, including random draws the capacity screen rejected before the model (invalid and uncached).",
 		func() float64 { return float64(c.Snapshot().Evaluations) })
 	reg.Counter("ruby_valid_total", "Evaluations with a valid verdict.",
 		func() float64 { return float64(c.Snapshot().Valid) })

@@ -12,7 +12,11 @@ import (
 // distribution events (latency, best objective) on obs histograms.
 type Metrics interface {
 	// Evaluation is called once per Engine.Evaluate: valid is the model's
-	// verdict, cached reports whether the cost came from the memo cache.
+	// verdict, cached reports whether the cost came from the memo cache. A
+	// random draw the capacity screen rejects (Worker.Screened) is called
+	// in too, as an invalid, uncached verdict without a model call: it
+	// reaches neither the cache nor the model, so it has no latency sample,
+	// and it is invalid because the model would have judged it so.
 	Evaluation(valid, cached bool)
 	// EvalLatency reports the wall time of one model evaluation. The engine
 	// samples (Config.LatencySampleEvery), so it is called for a subset of

@@ -24,6 +24,7 @@ import (
 	"ruby/internal/arch"
 	"ruby/internal/factor"
 	"ruby/internal/mapping"
+	"ruby/internal/nest"
 	"ruby/internal/workload"
 )
 
@@ -366,7 +367,7 @@ func (s *Space) TotalChainCount() uint64 {
 // generate-then-filter design.
 func (s *Space) Sample(rng *rand.Rand) *mapping.Mapping {
 	m := &mapping.Mapping{}
-	s.sampleInto(rng, m, make([]int, len(s.slots)), make([]int, len(s.dimNames)), nil)
+	s.sampleInto(rng, m, make([]int, len(s.slots)), make([]int, len(s.dimNames)), nil, nil, nil)
 	return m
 }
 
@@ -401,15 +402,35 @@ func (s *Space) NewSampler() *Sampler {
 //
 //ruby:hotpath
 func (sm *Sampler) SampleInto(rng *rand.Rand, m *mapping.Mapping) {
-	sm.sp.sampleInto(rng, m, sm.budget, sm.order, sm.dc)
+	sm.sp.sampleInto(rng, m, sm.budget, sm.order, sm.dc, nil, nil)
 }
 
-// sampleInto is the sampling core behind Sample and Sampler.SampleInto,
-// drawing m and its lowering together from the compiled rules. budget and
-// order are caller-owned scratch (one entry per slot and per dimension).
+// SampleScreened is SampleInto under a capacity screen (nest.Plan.ScreenStart)
+// on plan p, the compiled plan of the space's workload and architecture,
+// and scratch sc: after each dimension's chain it bounds the tile volumes
+// from below, and it stops the draw, reporting false, once a bound exceeds
+// a buffer's capacity. Under ExploreBypass only the innermost level is
+// screened, the one the bypass draw cannot relieve. A stopped draw would
+// have evaluated invalid; m is then left part-drawn, unfit for evaluation,
+// until the next draw rewrites it. A draw that is not stopped is the one
+// SampleInto makes, and it consumes the same RNG calls, so a search that
+// seeds every draw afresh gets the same answers either way; a draw that is
+// stopped consumes fewer.
 //
 //ruby:hotpath
-func (s *Space) sampleInto(rng *rand.Rand, m *mapping.Mapping, budget, order []int, dc *divCache) {
+func (sm *Sampler) SampleScreened(rng *rand.Rand, m *mapping.Mapping, p *nest.Plan, sc *nest.Scratch) bool {
+	return sm.sp.sampleInto(rng, m, sm.budget, sm.order, sm.dc, p, sc)
+}
+
+// sampleInto is the sampling core behind Sample, Sampler.SampleInto and
+// Sampler.SampleScreened, drawing m and its lowering together from the
+// compiled rules. budget and order are caller-owned scratch (one entry per
+// slot and per dimension). With a non-nil plan p it screens the draw on sc
+// and reports false once the draw must overflow a buffer; without one it
+// always draws to the end.
+//
+//ruby:hotpath
+func (s *Space) sampleInto(rng *rand.Rand, m *mapping.Mapping, budget, order []int, dc *divCache, p *nest.Plan, sc *nest.Scratch) bool {
 	dn := m.Relower(s.Work, s.Arch, s.slots)
 	if m.Factors == nil {
 		m.Factors = make(map[string][]int, len(s.Work.Dims))
@@ -430,6 +451,9 @@ func (s *Space) sampleInto(rng *rand.Rand, m *mapping.Mapping, budget, order []i
 		s.rules.requiredFirst(order, len(s.slots))
 	}
 
+	if p != nil {
+		p.ScreenStart(sc, s.Cons.ExploreBypass)
+	}
 	for _, di := range order {
 		name := s.dimNames[di]
 		fs := m.Factors[name]
@@ -439,6 +463,9 @@ func (s *Space) sampleInto(rng *rand.Rand, m *mapping.Mapping, budget, order []i
 		}
 		s.sampleChainInto(rng, di, budget, fs, dc)
 		dn.SetChainRow(di, s.Work.Dims[di].Bound, fs)
+		if p != nil && p.ScreenChain(dn, di, sc) {
+			return false
+		}
 	}
 
 	nd := len(s.dimNames)
@@ -467,6 +494,7 @@ func (s *Space) sampleInto(rng *rand.Rand, m *mapping.Mapping, budget, order []i
 	if s.Cons.ExploreBypass {
 		s.sampleBypass(rng, m, dn)
 	}
+	return true
 }
 
 // sampleBypass randomly drops tensors from intermediate storage levels

@@ -28,10 +28,13 @@ const (
 // slot list, kind and constraint lists, and read-only after: every draw path
 // (Sampler.SampleInto, Space.Sample, the fused chain draw and
 // Mutator.ProposeChainID) looks rules up here by dimension id instead of
-// scanning the constraint string lists per factor. A per-(dimension, slot)
-// check that rejects a draw early would hook in here as one more flag. The
-// table is small (one byte per dimension and slot) because fused segment
-// search builds a space per candidate.
+// scanning the constraint string lists per factor. The capacity screen
+// that stops an overflowing draw early is not a rule here: it runs the
+// model's own capacity check on the compiled plan after each drawn
+// dimension (Sampler.SampleScreened), so the capacity semantics live in
+// nest alone and a space compiles nothing for it. The table is small (one
+// byte per dimension and slot) because fused segment search builds a space
+// per candidate.
 type sampleRules struct {
 	// flags holds one row per dimension, stride nslots+1: the rule flags of
 	// each slot, then the dimension's own flags.

@@ -1,4 +1,4 @@
-package nest
+package nest_test
 
 import (
 	"math/rand"
@@ -7,6 +7,7 @@ import (
 	"ruby/internal/arch"
 	"ruby/internal/mapping"
 	"ruby/internal/mapspace"
+	"ruby/internal/nest"
 	"ruby/internal/workload"
 )
 
@@ -26,7 +27,7 @@ func TestDeepHierarchyPipeline(t *testing.T) {
 	}
 
 	w := workload.MustConv2D(workload.Conv2DParams{N: 1, M: 50, C: 10, P: 13, Q: 13, R: 3, S: 3})
-	ev := MustEvaluator(w, a)
+	ev := nest.MustEvaluator(w, a)
 	cons := mapspace.Constraints{SpatialX: []string{"M", "C", "Q"}}
 
 	best := map[mapspace.Kind]float64{}
@@ -79,7 +80,7 @@ func TestDeepHierarchyWeightPath(t *testing.T) {
 func TestDeepHierarchyTileMonotonicity(t *testing.T) {
 	a := arch.EyerissV2Like(6, 4, 64)
 	w := workload.MustMatmul("mm", 48, 36, 60)
-	ev := MustEvaluator(w, a)
+	ev := nest.MustEvaluator(w, a)
 	sp := mapspace.New(w, a, mapspace.Ruby, mapspace.Constraints{})
 	rng := rand.New(rand.NewSource(32))
 	checked := 0
@@ -90,7 +91,7 @@ func TestDeepHierarchyTileMonotonicity(t *testing.T) {
 			t.Fatal(err)
 		}
 		checked++
-		vols := ev.tileVolumes(chains)
+		vols := ev.TileVolumes(chains)
 		for ti := range w.Tensors {
 			for li := 1; li < len(a.Levels); li++ {
 				if vols[li][ti] > vols[li-1][ti] {

@@ -165,7 +165,7 @@ func (p *Plan) deltaChain(de *DeltaEval, d int) Cost {
 		return c
 	}
 	for li := 0; li < p.nLevels; li++ {
-		ebase := li * p.nDims
+		exts := s.exts[li*p.nDims : (li+1)*p.nDims]
 		base := li * p.nTensors
 		for ti := range p.tensors {
 			if !p.tensors[ti].rel[d] {
@@ -174,15 +174,7 @@ func (p *Plan) deltaChain(de *DeltaEval, d int) Cost {
 			idx := base + ti
 			de.oldVols = append(de.oldVols, s.vols[idx])
 			de.volsTouched = append(de.volsTouched, int32(idx))
-			vol := int64(1)
-			for _, coord := range p.tensors[ti].coords {
-				extent := 1
-				for _, tm := range coord {
-					extent += tm.stride * (s.exts[ebase+tm.dim] - 1)
-				}
-				vol *= int64(extent)
-			}
-			s.vols[idx] = vol
+			s.vols[idx] = p.tileVolume(ti, exts)
 		}
 	}
 	if c, bad := p.checkCapacity(s); bad {

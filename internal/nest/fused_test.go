@@ -1,4 +1,4 @@
-package nest
+package nest_test
 
 import (
 	"crypto/sha256"
@@ -12,6 +12,7 @@ import (
 
 	"ruby/internal/arch"
 	"ruby/internal/mapspace"
+	"ruby/internal/nest"
 	"ruby/internal/workload"
 	"ruby/internal/workloads"
 )
@@ -35,7 +36,7 @@ func fusedFixture(t *testing.T) (workload.EdgeBinding, *arch.Arch) {
 	return b, arch.EyerissLike(4, 3, 2)
 }
 
-func costsIdentical(a, b Cost) bool {
+func costsIdentical(a, b nest.Cost) bool {
 	if a.Valid != b.Valid || a.Reason != b.Reason {
 		return false
 	}
@@ -58,12 +59,12 @@ func costsIdentical(a, b Cost) bool {
 // per-layer path: same mappings, same Costs, field for field.
 func TestFusedDisabledMatchesPerLayer(t *testing.T) {
 	b, a := fusedFixture(t)
-	fe, err := NewFusedEvaluator(b, a, 1)
+	fe, err := nest.NewFusedEvaluator(b, a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pev := MustEvaluator(b.Prod.Work, a)
-	cev := MustEvaluator(b.Cons.Work, a)
+	pev := nest.MustEvaluator(b.Prod.Work, a)
+	cev := nest.MustEvaluator(b.Cons.Work, a)
 
 	psp := mapspace.New(b.Prod.Work, a, mapspace.RubyS, mapspace.Constraints{})
 	csp := mapspace.New(b.Cons.Work, a, mapspace.RubyS, mapspace.Constraints{})
@@ -100,13 +101,13 @@ func TestFusedDisabledMatchesPerLayer(t *testing.T) {
 // from the energy total.
 func TestFusedEvaluateElidesDRAM(t *testing.T) {
 	b, a := fusedFixture(t)
-	fe, err := NewFusedEvaluator(b, a, 1)
+	fe, err := nest.NewFusedEvaluator(b, a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	csp := mapspace.New(b.Cons.Work, a, mapspace.RubyS, mapspace.Constraints{})
-	cev := MustEvaluator(b.Cons.Work, a)
-	pev := MustEvaluator(b.Prod.Work, a)
+	cev := nest.MustEvaluator(b.Cons.Work, a)
+	pev := nest.MustEvaluator(b.Prod.Work, a)
 	rng := rand.New(rand.NewSource(5))
 
 	found := 0
@@ -162,14 +163,14 @@ func TestFusedEvaluateElidesDRAM(t *testing.T) {
 // Misaligned producer tiles must be rejected with a tile-alignment reason.
 func TestFusedEvaluateRejectsMisalignment(t *testing.T) {
 	b, a := fusedFixture(t)
-	fe, err := NewFusedEvaluator(b, a, 1)
+	fe, err := nest.NewFusedEvaluator(b, a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	csp := mapspace.New(b.Cons.Work, a, mapspace.RubyS, mapspace.Constraints{})
 	psp := mapspace.New(b.Prod.Work, a, mapspace.RubyS, mapspace.Constraints{})
-	cev := MustEvaluator(b.Cons.Work, a)
-	pev := MustEvaluator(b.Prod.Work, a)
+	cev := nest.MustEvaluator(b.Cons.Work, a)
+	pev := nest.MustEvaluator(b.Prod.Work, a)
 	rng := rand.New(rand.NewSource(9))
 	sawAlign := false
 	for i := 0; i < 3000 && !sawAlign; i++ {
@@ -189,7 +190,7 @@ func TestFusedEvaluateRejectsMisalignment(t *testing.T) {
 
 func TestNewFusedEvaluatorRejectsBadLevel(t *testing.T) {
 	b, a := fusedFixture(t)
-	if _, err := NewFusedEvaluator(b, a, len(a.Levels)); err == nil {
+	if _, err := nest.NewFusedEvaluator(b, a, len(a.Levels)); err == nil {
 		t.Fatal("fuse level beyond the hierarchy accepted")
 	}
 }
@@ -201,13 +202,13 @@ func TestNewFusedEvaluatorRejectsBadLevel(t *testing.T) {
 const fusedEvaluateDigest = "94b1458ca0c5d801820c0dab61d289bf7984c7ea1284691b272f0de04ed9749d"
 
 // hashFused feeds every field of a fused verdict into h.
-func hashFused(h hash.Hash, fc FusedCost) {
+func hashFused(h hash.Hash, fc nest.FusedCost) {
 	var b [8]byte
 	f := func(v float64) {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 		h.Write(b[:])
 	}
-	cost := func(c Cost) {
+	cost := func(c nest.Cost) {
 		fmt.Fprintf(h, "%v|%s|%s|", c.Valid, c.Reason, c.BandwidthBound)
 		for _, v := range []float64{c.Cycles, c.EnergyPJ, c.EDP, c.Utilization, c.MACs,
 			c.MACEnergyPJ, c.NoCEnergyPJ, c.StaticEnergyPJ} {
@@ -244,11 +245,11 @@ func TestFusedProducerHalfMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pairs, valid := 0, 0
 	for _, b := range binds {
-		ref, err := NewFusedEvaluator(b, a, 1)
+		ref, err := nest.NewFusedEvaluator(b, a, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		half, err := NewFusedEvaluator(b, a, 1)
+		half, err := nest.NewFusedEvaluator(b, a, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

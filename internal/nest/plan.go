@@ -354,21 +354,13 @@ func (p *Plan) evalInto(dm *mapping.Dense, s *Scratch, de *DeltaEval) Cost {
 	// Tile volumes per (level, tensor).
 	for li := 0; li < p.nLevels; li++ {
 		si := p.firstSlot[li]
-		ebase := li * p.nDims
-		for d := 0; d < p.nDims; d++ {
-			s.exts[ebase+d] = dm.CumAt(d, si)
+		exts := s.exts[li*p.nDims : (li+1)*p.nDims]
+		for d := range exts {
+			exts[d] = dm.CumAt(d, si)
 		}
 		base := li * p.nTensors
 		for ti := range p.tensors {
-			vol := int64(1)
-			for _, coord := range p.tensors[ti].coords {
-				extent := 1
-				for _, tm := range coord {
-					extent += tm.stride * (s.exts[ebase+tm.dim] - 1)
-				}
-				vol *= int64(extent)
-			}
-			s.vols[base+ti] = vol
+			s.vols[base+ti] = p.tileVolume(ti, exts)
 		}
 	}
 
@@ -451,6 +443,24 @@ func (p *Plan) checkFanout(s *Scratch) (Cost, bool) {
 		}
 	}
 	return Cost{}, false
+}
+
+// tileVolume is tensor ti's tile volume in words when dimension d spans
+// exts[d] iterations: the product over its coordinates of the halo extent
+// 1 + sum(stride * (extent - 1)). Every stride is at least 1, so the volume
+// never shrinks when an extent grows.
+//
+//ruby:hotpath
+func (p *Plan) tileVolume(ti int, exts []int) int64 {
+	vol := int64(1)
+	for _, coord := range p.tensors[ti].coords {
+		extent := 1
+		for _, tm := range coord {
+			extent += tm.stride * (exts[tm.dim] - 1)
+		}
+		vol *= int64(extent)
+	}
+	return vol
 }
 
 // checkCapacity verifies storage residency per level against dedicated or

@@ -1,4 +1,4 @@
-package nest
+package nest_test
 
 import (
 	"math/rand"
@@ -7,6 +7,7 @@ import (
 	"ruby/internal/arch"
 	"ruby/internal/mapping"
 	"ruby/internal/mapspace"
+	"ruby/internal/nest"
 	"ruby/internal/workload"
 )
 
@@ -46,7 +47,7 @@ func TestCyclesMatchBruteForce(t *testing.T) {
 	a := arch.EyerissLike(14, 12, 64)
 	rng := rand.New(rand.NewSource(42))
 	w := workload.MustVector1D("d", 2) // placeholder; rebuilt per trial
-	e := MustEvaluator(w, a)
+	e := nest.MustEvaluator(w, a)
 	slots := e.Slots
 
 	for trial := 0; trial < 300; trial++ {
@@ -64,7 +65,7 @@ func TestCyclesMatchBruteForce(t *testing.T) {
 			r = (r + f - 1) / f
 		}
 		ch := mapping.NewChain(d, factors)
-		got := e.cyclesAlong(ch)
+		got := e.CyclesAlong(ch)
 		want := simulateCycles(slots, ch)
 		if got != want {
 			t.Fatalf("d=%d factors=%v: cyclesAlong=%g, brute force=%g", d, factors, got, want)
@@ -77,7 +78,7 @@ func TestCyclesMatchBruteForce(t *testing.T) {
 func TestCostInvariants(t *testing.T) {
 	w := workload.MustConv2D(workload.Conv2DParams{N: 1, M: 12, C: 10, P: 14, Q: 13, R: 3, S: 3})
 	a := arch.EyerissLike(14, 12, 128)
-	e := MustEvaluator(w, a)
+	e := nest.MustEvaluator(w, a)
 	inputSize := float64(w.Size(w.Tensor("I")))
 	weightSize := float64(w.Size(w.Tensor("W")))
 	outputSize := float64(w.Size(w.Tensor("O")))
@@ -128,7 +129,7 @@ func TestCostInvariants(t *testing.T) {
 func TestPerfectMappingsNominalTrips(t *testing.T) {
 	w := workload.MustMatmul("mm", 24, 36, 48)
 	a := arch.EyerissLike(12, 12, 128)
-	e := MustEvaluator(w, a)
+	e := nest.MustEvaluator(w, a)
 	sp := mapspace.New(w, a, mapspace.PFM, mapspace.Constraints{})
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 200; i++ {
@@ -147,7 +148,7 @@ func TestPerfectMappingsNominalTrips(t *testing.T) {
 		}
 		exact := 1.0
 		for _, d := range w.DimNames() {
-			exact *= e.cyclesAlong(chains[d])
+			exact *= e.CyclesAlong(chains[d])
 		}
 		if nominal != exact {
 			t.Fatalf("perfect mapping: nominal %g != exact %g (factors %v)", nominal, exact, m.Factors)
@@ -165,7 +166,7 @@ func TestRubySupersetQuality(t *testing.T) {
 		pes := rng.Intn(14) + 2
 		w := workload.MustVector1D("d", d)
 		a := arch.ToyGLB(pes, 4096)
-		e := MustEvaluator(w, a)
+		e := nest.MustEvaluator(w, a)
 		best := func(kind mapspace.Kind) float64 {
 			sp := mapspace.New(w, a, kind, mapspace.Constraints{FixedPerms: true})
 			bestEDP := -1.0

@@ -58,28 +58,31 @@ func cacheGoldenSpaces() map[string]*mapspace.Space {
 // lowered-form key hits and misses on exactly the same draws, and that every
 // hit returns what a fresh evaluation would. They were re-recorded, with the
 // same seed and budget, when random draw k came to be seeded from
-// (Seed, k).
+// (Seed, k). The hits alone were re-recorded when random search began to
+// screen its draws for capacity: a screened draw never reaches the cache,
+// so overflowing draws that repeat no longer score hits, while the valid
+// counts and best EDPs stayed as they were.
 var goldenCacheSearches = map[string]cacheGolden{
-	"conv1/eyeriss-strict/PFM":                  {2, 39, 0x4332b27a8ee4cccd},
-	"conv1/eyeriss-strict/Ruby":                 {1, 1, 0x434aea07df0c8000},
+	"conv1/eyeriss-strict/PFM":                  {0, 39, 0x4332b27a8ee4cccd},
+	"conv1/eyeriss-strict/Ruby":                 {0, 1, 0x434aea07df0c8000},
 	"conv1/eyeriss-strict/Ruby-S":               {0, 51, 0x4338ba8c6d073333},
-	"conv1/eyeriss-strict/Ruby-T":               {1, 2, 0x4337b4317ef60000},
-	"face_conv_9x9/eyeriss/PFM":                 {1, 133, 0x4353e88d0b0a9233},
+	"conv1/eyeriss-strict/Ruby-T":               {0, 2, 0x4337b4317ef60000},
+	"face_conv_9x9/eyeriss/PFM":                 {0, 133, 0x4353e88d0b0a9233},
 	"face_conv_9x9/eyeriss/Ruby":                {0, 1, 0x43e56a232483c010},
-	"face_conv_9x9/eyeriss/Ruby-S":              {1, 123, 0x43557b7305e06667},
+	"face_conv_9x9/eyeriss/Ruby-S":              {0, 123, 0x43557b7305e06667},
 	"face_conv_9x9/eyeriss/Ruby-T":              {0, 0, 0x0},
-	"fc1000/eyeriss/PFM":                        {240, 150, 0x42b79d1707a00000},
-	"fc1000/eyeriss/Ruby":                       {497, 3, 0x42b85d29e79cf000},
-	"fc1000/eyeriss/Ruby-S":                     {269, 116, 0x42a6a7a597e94ccd},
-	"fc1000/eyeriss/Ruby-T":                     {488, 4, 0x42e037dbabe00000},
-	"res2a_branch1/eyeriss/PFM":                 {1, 41, 0x431ceb3fccccccce},
-	"res2a_branch1/eyeriss/Ruby":                {24, 0, 0x0},
-	"res2a_branch1/eyeriss/Ruby-S":              {1, 39, 0x430fb46ae4000000},
-	"res2a_branch1/eyeriss/Ruby-T":              {22, 1, 0x4327d269b5666667},
+	"fc1000/eyeriss/PFM":                        {2, 150, 0x42b79d1707a00000},
+	"fc1000/eyeriss/Ruby":                       {0, 3, 0x42b85d29e79cf000},
+	"fc1000/eyeriss/Ruby-S":                     {0, 116, 0x42a6a7a597e94ccd},
+	"fc1000/eyeriss/Ruby-T":                     {0, 4, 0x42e037dbabe00000},
+	"res2a_branch1/eyeriss/PFM":                 {0, 41, 0x431ceb3fccccccce},
+	"res2a_branch1/eyeriss/Ruby":                {0, 0, 0x0},
+	"res2a_branch1/eyeriss/Ruby-S":              {0, 39, 0x430fb46ae4000000},
+	"res2a_branch1/eyeriss/Ruby-T":              {0, 1, 0x4327d269b5666667},
 	"res2a_branch2a/simba/PFM":                  {0, 1022, 0x42c248f4be49d87e},
-	"res2a_branch2a/simba/Ruby":                 {6, 68, 0x42c029b517356b41},
-	"res2a_branch2a/simba/Ruby-S":               {2, 949, 0x42c0779c4c47a13d},
-	"res2a_branch2a/simba/Ruby-T":               {3, 90, 0x42c241103671c8da},
+	"res2a_branch2a/simba/Ruby":                 {0, 68, 0x42c029b517356b41},
+	"res2a_branch2a/simba/Ruby-S":               {1, 949, 0x42c0779c4c47a13d},
+	"res2a_branch2a/simba/Ruby-T":               {0, 90, 0x42c241103671c8da},
 	"res2x_branch2b/eyeriss/PFM":                {0, 43, 0x4323247c2f333333},
 	"res2x_branch2b/eyeriss/Ruby":               {0, 0, 0x0},
 	"res2x_branch2b/eyeriss/Ruby-S":             {0, 39, 0x4322962b27333333},
@@ -88,10 +91,10 @@ var goldenCacheSearches = map[string]cacheGolden{
 	"res2x_branch2b/simba-bypass/Ruby":          {0, 62, 0x432017df5bd14113},
 	"res2x_branch2b/simba-bypass/Ruby-S":        {0, 1029, 0x431818a4fee714f9},
 	"res2x_branch2b/simba-bypass/Ruby-T":        {0, 83, 0x4314441df3f54db1},
-	"speaker_gemm_512x1500x2816/eyeriss/PFM":    {2, 32, 0x43b39f46f2a00000},
-	"speaker_gemm_512x1500x2816/eyeriss/Ruby":   {107, 0, 0x0},
-	"speaker_gemm_512x1500x2816/eyeriss/Ruby-S": {3, 32, 0x43c1c25d84c105a1},
-	"speaker_gemm_512x1500x2816/eyeriss/Ruby-T": {107, 1, 0x43de7a430a380000},
+	"speaker_gemm_512x1500x2816/eyeriss/PFM":    {0, 32, 0x43b39f46f2a00000},
+	"speaker_gemm_512x1500x2816/eyeriss/Ruby":   {0, 0, 0x0},
+	"speaker_gemm_512x1500x2816/eyeriss/Ruby-S": {0, 32, 0x43c1c25d84c105a1},
+	"speaker_gemm_512x1500x2816/eyeriss/Ruby-T": {0, 1, 0x43de7a430a380000},
 	"speech_ds_conv1/simba/PFM":                 {0, 729, 0x438a485d809b3a01},
 	"speech_ds_conv1/simba/Ruby":                {0, 42, 0x438e108166eb0d61},
 	"speech_ds_conv1/simba/Ruby-S":              {0, 680, 0x4386e74c1c7700a0},

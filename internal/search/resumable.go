@@ -166,6 +166,13 @@ const randomWindow = 512
 // claimed any more. The outcome is therefore the same at any thread count,
 // and a snapshot's draw position is its Evaluated count.
 //
+// Each draw runs under a capacity screen (mapspace.Sampler.SampleScreened):
+// a draw whose drawn tiles already overflow a buffer stops there and
+// commits as invalid without a cache lookup or a model call. The screen
+// turns away only draws the model would reject, and draw k+1 is seeded
+// afresh however much of draw k was drawn, so the answers are those of
+// unscreened draws.
+//
 // A window slot keeps only the draw's objective value. A goroutine clones
 // a draw's mapping and cost only when it beats both the committed best and
 // the goroutine's earlier draws of the Step: every draw that commits as an
@@ -217,9 +224,12 @@ type randomCand struct {
 
 // NewRandom builds a resumable random search on opt.Threads goroutines
 // (zero selects min(24, NumCPU)). The option defaults (termination
-// criterion) apply as in Random.
+// criterion) apply as in Random. The space and the engine's evaluator must
+// share their workload and architecture objects: the capacity screen reads
+// the sampler's lowering with the engine's plan.
 func NewRandom(sp *mapspace.Space, eng *engine.Engine, opt Options) *RandomSearcher {
 	opt = opt.withDefaults()
+	requireSharedContext(sp, eng)
 	s := &RandomSearcher{
 		sp: sp, eng: eng, opt: opt,
 		eval:  eng.NewBatch(true, opt.Threads),
@@ -322,12 +332,13 @@ func (s *RandomSearcher) drawClaim(ctx context.Context, t int, w *engine.Worker,
 	}
 	// Locals keep the draw loop off the cache lines that commits write.
 	seed, base, vals, obj := s.opt.Seed, s.base, s.vals, s.opt.Objective
+	plan := s.eng.Evaluator().Plan()
 	for i := lo; i < hi; i++ {
 		d.rng.SeedDraw(seed, base+int64(i))
-		d.smp.SampleInto(d.rnd, d.m)
-		c := w.EvaluateShared(d.m)
 		v := math.NaN()
-		if c.Valid {
+		if !d.smp.SampleScreened(d.rnd, d.m, plan, w.Scratch()) {
+			w.Screened()
+		} else if c := w.EvaluateShared(d.m); c.Valid {
 			v = obj.Value(&c)
 			if v < d.best && v < math.Float64frombits(s.bar.Load()) {
 				d.best = v

@@ -195,11 +195,13 @@ func Genetic(ctx context.Context, sp *mapspace.Space, eng *engine.Engine, opt Op
 // incremental pipeline patches the mapping's memoized dense lowering in
 // place, and that memo is keyed by object identity: with distinct (even if
 // equivalent) objects the patches would silently miss the lowering the
-// delta kernel reads. Every production call site already shares the
-// objects; this turns a misuse into a fail-fast panic.
+// delta kernel reads. The random searcher's capacity screen likewise reads
+// the sampler's lowering with the engine's plan. Every production call
+// site already shares the objects; this turns a misuse into a fail-fast
+// panic.
 func requireSharedContext(sp *mapspace.Space, eng *engine.Engine) {
 	ev := eng.Evaluator()
 	if sp.Work != ev.Work || sp.Arch != ev.Arch {
-		panic("search: mapspace and engine must share workload and architecture objects for incremental evaluation")
+		panic("search: mapspace and engine must share workload and architecture objects")
 	}
 }
